@@ -42,10 +42,12 @@ print("\nflattened tokens:   ", tokens.tolist())
 print("flattened positions:", positions.tolist())
 print("flattened parents:  ", parents.tolist())
 
-# the attention mask lets each node see the prefix, its ancestors, itself
+# the attention mask has one row per tree node, over the prefix keys and
+# the tree keys: each node sees the whole prefix, its ancestors, itself
 mask = tree_attention_mask(tree, prefix_len=2)
-print("\nvisibility mask (prefix=2, # = allowed):")
-for row in mask.astype(int):
-    print("  " + "".join("#" if v else "." for v in row))
+print(f"\ntree-row visibility mask {mask.shape} (prefix keys | tree keys, # = allowed):")
+for row in mask:
+    marks = "".join("#" if v else "." for v in row)
+    print(f"  {marks[:2]} | {marks[2:]}")
 
 print("\nserialized:", tree.to_json()[:100], "...")

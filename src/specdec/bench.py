@@ -20,25 +20,19 @@ import numpy as np
 
 from .corpus import TASKS, task_prompts
 from .engine import ModelDrafter, SpeculativeEngine, vanilla_generate
-from .errors import CapacityError, ConfigError
-from .model import VARIANTS
+from .errors import CapacityError, ConfigError, ContractError
+from .model import VARIANTS, ConfigSection
 from .tokenizer import EOS
 
 
 @dataclass
-class DraftingConfig:
+class DraftingConfig(ConfigSection):
+    section = "drafting"
+
     depth: int = 5
     expand_k: int = 8
     select_m: int = 8
     budget: int = 60
-
-    @classmethod
-    def from_dict(cls, d):
-        known = {f.name for f in fields(cls)}
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown drafting config keys: {sorted(unknown)}")
-        return cls(**d)
 
     def halved(self):
         """Half the node budget and the per-step top-k, same depth."""
@@ -47,7 +41,9 @@ class DraftingConfig:
 
 
 @dataclass
-class BenchConfig:
+class BenchConfig(ConfigSection):
+    section = "bench"
+
     tasks: tuple = TASKS
     temperatures: tuple = (0.0,)
     prompts_per_task: int = 10
@@ -60,14 +56,6 @@ class BenchConfig:
         for t in self.tasks:
             if t not in TASKS:
                 raise ConfigError(f"unknown bench task {t!r}; expected subset of {TASKS}")
-
-    @classmethod
-    def from_dict(cls, d):
-        known = {f.name for f in fields(cls)}
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown bench config keys: {sorted(unknown)}")
-        return cls(**d)
 
 
 def config_hash(config_dict):
@@ -139,7 +127,7 @@ def bench_cell(target, draft, tokenizer, task, temperature, drafting, bench, see
             skipped += 1
             continue
         if temperature == 0.0 and got != want:
-            raise AssertionError(
+            raise ContractError(
                 f"greedy fairness violated on task {task!r} prompt {i}: "
                 f"speculative output diverged from vanilla")
         run += 1

@@ -30,7 +30,7 @@ import numpy as np
 from . import tensor as T
 from .errors import CapacityError, ContractError, NumericError
 from .model import allowed_to_bias, causal_bias
-from .tree import TokenTree, TreeNode, build_draft_tree, flatten, tree_attention_mask
+from .tree import build_draft_tree, chain_tree, flatten, tree_attention_mask
 
 
 def step_rng(seed, step):
@@ -108,9 +108,7 @@ def verify_stochastic(tree, node_probs, rng):
                 raise NumericError("residual distribution vanished during verification")
             p /= total
         if accepted is None:
-            bonus = int(np.searchsorted(np.cumsum(p), rng.random(), side="right"))
-            bonus = min(bonus, len(p) - 1)
-            return VerifyResult(path, tokens, bonus)
+            return VerifyResult(path, tokens, _sample(p, rng))
         path.append(accepted)
         tokens.append(tree.nodes[accepted].token)
         cur = accepted
@@ -201,12 +199,16 @@ class ModelDrafter:
         self.passes_last = passes + tree_passes
         return tree
 
-    def max_tree_rows(self):
-        return self.budget + 1
-
 
 class SpeculativeEngine:
-    """Drives draft → verify → commit over a single sequence."""
+    """Drives draft → verify → commit over a single sequence.
+
+    A drafter provides ``reset()``, called once per sequence;
+    ``propose(committed, features)``, which returns a TokenTree rooted at
+    ``committed[-1]`` given the target features of every committed
+    position but the newest; and ``passes_last``, the draft forward
+    passes that the latest proposal took.
+    """
 
     def __init__(self, target, drafter):
         self.target = target
@@ -223,11 +225,10 @@ class SpeculativeEngine:
         if len(prompt) < 2:
             raise ContractError("prompt must hold at least two tokens (lead with BOS)")
         max_len = self.target.config.max_seq_len
-        tree_rows = self.drafter.max_tree_rows() if hasattr(self.drafter, "max_tree_rows") else 1
-        if len(prompt) + tree_rows > max_len:
-            raise CapacityError(
-                f"prompt of {len(prompt)} tokens leaves no room in a {max_len}-token context",
-                partial_tokens=[])
+        if len(prompt) >= max_len:
+            raise CapacityError(f"prompt of {len(prompt)} tokens does not fit context {max_len}",
+                                partial_tokens=[])
+        stop = min(len(prompt) + max_new, max_len)  # the committed length at which vanilla stops
 
         start = time.perf_counter()
         stats = GenerationStats()
@@ -239,15 +240,13 @@ class SpeculativeEngine:
             self.drafter.reset()
 
             step = 0
-            while stats.emitted < max_new:
-                if len(committed) + tree_rows + 1 > max_len:
-                    stats.truncated = True
-                    break
+            while len(committed) < stop:
                 tree = self.drafter.propose(committed, features)
                 prefix = len(cache)
+                if prefix + max(n.depth for n in tree.nodes) >= max_len:
+                    tree = chain_tree(committed[-1:])  # the root alone is one vanilla step
                 tokens, positions, _ = flatten(tree, prefix)
-                mask = tree_attention_mask(tree, prefix)
-                bias = allowed_to_bias(mask[prefix:, :])
+                bias = allowed_to_bias(tree_attention_mask(tree, prefix))
                 logits, node_feats = self.target.forward(
                     tokens, positions=positions, attn_bias=bias, cache=cache)
 
@@ -266,21 +265,15 @@ class SpeculativeEngine:
                 committed.append(result.bonus_token)
 
                 emitted_now = len(result.accepted_tokens) + 1
-                stats.record_step(len(result.accepted_tokens), len(tree),
-                                  getattr(self.drafter, "passes_last", 0))
-                stats.emitted += emitted_now
+                stats.record_step(len(result.accepted_tokens), len(tree), self.drafter.passes_last)
                 step += 1
                 if eos_id is not None and eos_id in committed[-emitted_now:]:
-                    cut = committed.index(eos_id, len(committed) - emitted_now)
-                    dropped = len(committed) - (cut + 1)
-                    committed = committed[: cut + 1]
-                    stats.emitted -= dropped
+                    del committed[committed.index(eos_id, len(committed) - emitted_now) + 1:]
                     break
 
-        new_tokens = committed[len(prompt):]
-        if len(new_tokens) > max_new:
-            new_tokens = new_tokens[:max_new]
-            stats.emitted = max_new
+        new_tokens = committed[len(prompt):stop]
+        stats.emitted = len(new_tokens)
+        stats.truncated = len(prompt) + len(new_tokens) >= max_len and new_tokens[-1] != eos_id
         stats.wall_ms = (time.perf_counter() - start) * 1000.0
         return new_tokens, stats
 
@@ -291,10 +284,12 @@ def _check_temperature(temperature):
 
 
 def _temperature_probs(logits, temperature):
-    z = logits.astype(np.float64) / temperature
-    z -= z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    return T.softmax64(logits.astype(np.float64) / temperature)
+
+
+def _sample(p, rng):
+    """Inverse-CDF draw of one token from distribution ``p``, using one ``rng.random()``."""
+    return min(int(np.searchsorted(np.cumsum(p), rng.random(), side="right")), len(p) - 1)
 
 
 def vanilla_generate(target, prompt, max_new, temperature=0.0, seed=0, eos_id=None):
@@ -322,10 +317,7 @@ def vanilla_generate(target, prompt, max_new, temperature=0.0, seed=0, eos_id=No
             if temperature == 0.0:
                 tok = int(np.argmax(row))
             else:
-                p = _temperature_probs(row[None], temperature)[0]
-                tok = int(np.searchsorted(np.cumsum(p), step_rng(seed, step).random(),
-                                          side="right"))
-                tok = min(tok, len(p) - 1)
+                tok = _sample(_temperature_probs(row[None], temperature)[0], step_rng(seed, step))
             out.append(tok)
             stats.emitted += 1
             stats.target_passes += 1
@@ -355,19 +347,11 @@ class ChainDrafter:
     def reset(self):
         pass
 
-    def max_tree_rows(self):
-        return self.depth + 1
-
     def propose(self, committed, features):
-        nodes = [TreeNode(committed[-1], None, 0, 1.0, 1.0)]
         chain = []
-        for d in range(1, self.depth + 1):
-            tok = self.next_token_fn(committed, chain)
-            nodes.append(TreeNode(tok, d - 1, d, 1.0, 1.0))
-            chain.append(tok)
-        self.passes_last = 0
-        return TokenTree(nodes, budget=self.depth, expand_k=1, select_m=1,
-                         max_depth=self.depth)
+        for _ in range(self.depth):
+            chain.append(self.next_token_fn(committed, chain))
+        return chain_tree(committed[-1:] + chain)
 
 
 class OracleChainDrafter:
@@ -385,15 +369,7 @@ class OracleChainDrafter:
     def reset(self):
         pass
 
-    def max_tree_rows(self):
-        return self.depth + 1
-
     def propose(self, committed, features):
         with T.no_grad():
             chain, _ = vanilla_generate(self.target, committed, self.depth, temperature=0.0)
-        nodes = [TreeNode(committed[-1], None, 0, 1.0, 1.0)]
-        for d, tok in enumerate(chain, start=1):
-            nodes.append(TreeNode(tok, d - 1, d, 1.0, 1.0))
-        self.passes_last = 0
-        return TokenTree(nodes, budget=self.depth, expand_k=1, select_m=1,
-                         max_depth=self.depth)
+        return chain_tree(committed[-1:] + chain)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import struct
 from dataclasses import asdict, dataclass, fields
 
@@ -27,8 +28,22 @@ from .tensor import Tensor
 MASK_OFF = -1e9  # additive attention bias for disallowed positions
 
 
+class ConfigSection:
+    """Mixin for config dataclasses named by ``section``: ``from_dict``
+    rejects undeclared keys."""
+
+    @classmethod
+    def from_dict(cls, d):
+        unknown = set(d) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ConfigError(f"unknown {cls.section} config keys: {sorted(unknown)}")
+        return cls(**d)
+
+
 @dataclass
-class ModelConfig:
+class ModelConfig(ConfigSection):
+    section = "model"
+
     vocab_size: int = 512
     hidden_size: int = 128
     intermediate_size: int = 384
@@ -56,14 +71,6 @@ class ModelConfig:
 
     def to_dict(self):
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d):
-        known = {f.name for f in fields(cls)}
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown model config keys: {sorted(unknown)}")
-        return cls(**d)
 
 
 def _init(rng, shape, scale=0.02):
@@ -213,6 +220,12 @@ class DecoderLayer:
         r = self.residual_after_attention(x, positions, attn_bias, cache, layer_idx)
         return T.add(r, self.mlp(self.mlp_norm(r)))
 
+    def named_tensors(self, prefix):
+        parts = {"attn_norm": self.attn_norm, "attn.wq": self.attn.wq, "attn.wk": self.attn.wk,
+                 "attn.wv": self.attn.wv, "attn.wo": self.attn.wo, "mlp_norm": self.mlp_norm,
+                 "mlp.gate": self.mlp.gate, "mlp.up": self.mlp.up, "mlp.down": self.mlp.down}
+        return {f"{prefix}{name}.weight": part.weight for name, part in parts.items()}
+
 
 def causal_bias(n_queries, n_keys, dtype=np.float32):
     """Additive mask letting query i see keys 0..(n_keys - n_queries + i)."""
@@ -290,16 +303,7 @@ class TargetModel:
                "final_norm.weight": self.final_norm.weight,
                "head.weight": self.head.weight}
         for i, layer in enumerate(self.layers):
-            p = f"layers.{i}."
-            out[p + "attn_norm.weight"] = layer.attn_norm.weight
-            out[p + "attn.wq.weight"] = layer.attn.wq.weight
-            out[p + "attn.wk.weight"] = layer.attn.wk.weight
-            out[p + "attn.wv.weight"] = layer.attn.wv.weight
-            out[p + "attn.wo.weight"] = layer.attn.wo.weight
-            out[p + "mlp_norm.weight"] = layer.mlp_norm.weight
-            out[p + "mlp.gate.weight"] = layer.mlp.gate.weight
-            out[p + "mlp.up.weight"] = layer.mlp.up.weight
-            out[p + "mlp.down.weight"] = layer.mlp.down.weight
+            out.update(layer.named_tensors(f"layers.{i}."))
         return out
 
     def parameters(self):
@@ -445,18 +449,7 @@ class DraftModel:
         return KvCache(1)
 
     def named_tensors(self):
-        out = dict(self.connector.named_tensors())
-        p = "layer."
-        out[p + "attn_norm.weight"] = self.layer.attn_norm.weight
-        out[p + "attn.wq.weight"] = self.layer.attn.wq.weight
-        out[p + "attn.wk.weight"] = self.layer.attn.wk.weight
-        out[p + "attn.wv.weight"] = self.layer.attn.wv.weight
-        out[p + "attn.wo.weight"] = self.layer.attn.wo.weight
-        out[p + "mlp_norm.weight"] = self.layer.mlp_norm.weight
-        out[p + "mlp.gate.weight"] = self.layer.mlp.gate.weight
-        out[p + "mlp.up.weight"] = self.layer.mlp.up.weight
-        out[p + "mlp.down.weight"] = self.layer.mlp.down.weight
-        return out
+        return {**self.connector.named_tensors(), **self.layer.named_tensors("layer.")}
 
     def parameters(self):
         return list(self.named_tensors().values())
@@ -477,8 +470,19 @@ MAGIC = b"FSPD"
 VERSION = 1
 
 
-def _write_exact(buf, data):
-    buf.write(data)
+def write_atomic(path, data):
+    """Write bytes through a sibling temp file and ``os.replace``, so that a
+    failed write leaves any earlier file at ``path`` whole."""
+    tmp = f"{os.fspath(path)}.tmp{os.getpid()}"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(data)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def save_checkpoint(model, path):
@@ -492,21 +496,20 @@ def save_checkpoint(model, path):
     tensors = model.named_tensors()
     meta_bytes = json.dumps(meta, sort_keys=True).encode("utf-8")
     buf = io.BytesIO()
-    _write_exact(buf, MAGIC)
-    _write_exact(buf, struct.pack("<I", VERSION))
-    _write_exact(buf, struct.pack("<I", len(meta_bytes)))
-    _write_exact(buf, meta_bytes)
-    _write_exact(buf, struct.pack("<I", len(tensors)))
+    buf.write(MAGIC)
+    buf.write(struct.pack("<I", VERSION))
+    buf.write(struct.pack("<I", len(meta_bytes)))
+    buf.write(meta_bytes)
+    buf.write(struct.pack("<I", len(tensors)))
     for name, t in tensors.items():
         nb = name.encode("utf-8")
-        _write_exact(buf, struct.pack("<H", len(nb)))
-        _write_exact(buf, nb)
+        buf.write(struct.pack("<H", len(nb)))
+        buf.write(nb)
         arr = np.ascontiguousarray(t.data, dtype=np.float32)
-        _write_exact(buf, struct.pack("<B", arr.ndim))
-        _write_exact(buf, struct.pack(f"<{arr.ndim}I", *arr.shape))
-        _write_exact(buf, arr.astype("<f4", copy=False).tobytes())
-    with open(path, "wb") as f:
-        f.write(buf.getvalue())
+        buf.write(struct.pack("<B", arr.ndim))
+        buf.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
+        buf.write(arr.astype("<f4", copy=False).tobytes())
+    write_atomic(path, buf.getvalue())
 
 
 def _read_exact(f, n, what):

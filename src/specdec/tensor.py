@@ -416,6 +416,19 @@ def softmax(x, axis=-1):
     return _record(out, (x,), bw)
 
 
+def softmax64(z):
+    """Softmax over the last axis of a plain array, in float64 (no tape)."""
+    z = np.asarray(z, dtype=np.float64)
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _log_softmax64(z):
+    z = z.astype(np.float64)
+    z = z - z.max(axis=-1, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+
+
 # ---------------------------------------------------------------------------
 # losses
 
@@ -442,10 +455,7 @@ def cross_entropy(logits, probs, mask=None):
         )
     m = _prep_mask(mask, logits.data.shape[:-1])
     count = m.sum()
-    z = logits.data.astype(np.float64)
-    z = z - z.max(axis=-1, keepdims=True)
-    logz = np.log(np.exp(z).sum(axis=-1, keepdims=True))
-    logp = z - logz
+    logp = _log_softmax64(logits.data)
     per_pos = -(probs.data.astype(np.float64) * logp).sum(axis=-1)
     if count == 0:
         warnings.warn("cross_entropy: every position is masked out; loss is 0")
@@ -470,10 +480,7 @@ def cross_entropy_labels(logits, labels, mask=None):
         )
     m = _prep_mask(mask, labels.shape)
     count = m.sum()
-    z = logits.data.astype(np.float64)
-    z = z - z.max(axis=-1, keepdims=True)
-    logz = np.log(np.exp(z).sum(axis=-1, keepdims=True))
-    logp = z - logz
+    logp = _log_softmax64(logits.data)
     picked = np.take_along_axis(logp, labels[..., None], axis=-1)[..., 0]
     if count == 0:
         warnings.warn("cross_entropy_labels: every position is masked out; loss is 0")

@@ -15,6 +15,7 @@ import json
 import numpy as np
 
 from .errors import ContractError
+from .model import write_atomic
 
 N_BYTES = 256
 BOS = 256
@@ -87,8 +88,7 @@ class Tokenizer:
         return self.decode_bytes(ids).decode("utf-8", errors="replace")
 
     def save(self, path):
-        with open(path, "w", encoding="utf-8") as f:
-            json.dump({"merges": self.merges}, f)
+        write_atomic(path, json.dumps({"merges": self.merges}).encode("utf-8"))
 
     @classmethod
     def load(cls, path):

@@ -15,18 +15,20 @@ import hashlib
 import json
 import time
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, ContractError, TrainingError
-from .model import DraftModel, ModelConfig, TargetModel
+from .model import ConfigSection, DraftModel, ModelConfig, TargetModel
 from .tokenizer import BOS, EOS
 
 
 @dataclass
-class TrainConfig:
+class TrainConfig(ConfigSection):
+    section = "training"
+
     learning_rate: float = 5e-5
     adam_betas: tuple = (0.9, 0.95)
     grad_clip: float = 0.5
@@ -47,14 +49,6 @@ class TrainConfig:
         if self.learning_rate <= 0:
             raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
         self.adam_betas = tuple(self.adam_betas)
-
-    @classmethod
-    def from_dict(cls, d):
-        known = {f.name for f in fields(cls)}
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown training config keys: {sorted(unknown)}")
-        return cls(**d)
 
 
 class TokenizedCorpus:
@@ -174,13 +168,6 @@ def _pad_batch(docs):
     return tokens, valid, response
 
 
-def _softmax_np(logits):
-    z = logits.astype(np.float64)
-    z -= z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return (e / e.sum(axis=-1, keepdims=True)).astype(np.float32)
-
-
 def target_param_hash(target):
     h = hashlib.sha256()
     for name, t in sorted(target.named_tensors().items()):
@@ -209,7 +196,7 @@ def draft_batch_losses(target, draft, tokens, valid, response, loss_weight):
     (Tensor, Tensor, Tensor, float).
     """
     teacher_feats, teacher_logits = extract_teacher_trace(target, tokens)
-    teacher_probs = _softmax_np(teacher_logits)
+    teacher_probs = T.softmax64(teacher_logits).astype(np.float32)
 
     probs_s, pair_mask = shift_mask(teacher_probs, response & valid)
     feats_s = teacher_feats[:, 1:]

@@ -124,7 +124,7 @@ def build_draft_tree(draft, root_feature, root_token, *, depth, expand_k, select
 
     root = TreeNode(root_token, None, 0, 1.0, 1.0)
     pool = [root]            # pool[0] is the root; candidates follow
-    row_of = {}              # pool index -> draft cache row
+    row_of = np.full(1 + depth * select_m * expand_k, -1)  # pool index -> draft cache row
     probs_of = {}            # pool index -> draft conditional distribution
     passes = 0
 
@@ -141,14 +141,8 @@ def build_draft_tree(draft, root_feature, root_token, *, depth, expand_k, select
         fused = draft.fuse(T.Tensor(feats[None]), T.reshape(embeds, (1, n, -1)))
 
         base = len(cache)
-        allowed = np.zeros((n, base + n), dtype=bool)
-        allowed[:, :prefix_len] = True
-        for r, i in enumerate(indices):
-            p = pool[i].parent
-            while p is not None:
-                allowed[r, row_of[p]] = True
-                p = pool[p].parent
-            allowed[r, base + r] = True
+        row_of[indices] = base + np.arange(n)
+        allowed = _visibility(_parents(pool), row_of, indices, prefix_len, base + n)
         positions = np.array([prefix_len + pool[i].depth for i in indices])
 
         out = draft.forward(fused, positions=positions,
@@ -158,7 +152,6 @@ def build_draft_tree(draft, root_feature, root_token, *, depth, expand_k, select
             raise NumericError("draft produced NaN logits")
         dist = T.softmax(out.logits, axis=-1).data[0]
         for r, i in enumerate(indices):
-            row_of[i] = base + r
             pool[i].feature = out.next_feature.data[0, r].copy()
             probs_of[i] = dist[r]
 
@@ -197,30 +190,46 @@ def build_draft_tree(draft, root_feature, root_token, *, depth, expand_k, select
 
 
 def tree_attention_mask(tree, prefix_len):
-    """Square visibility mask over prefix + flattened tree rows.
+    """Visibility of the flattened tree rows over prefix + tree keys.
 
-    Prefix rows are causal; each tree row sees the whole prefix, its
-    ancestors, and itself — nothing else.
+    Shape (len(tree), prefix_len + len(tree)): each tree row sees the
+    whole prefix, its ancestors, and itself — nothing else.
     """
     n = len(tree)
-    total = prefix_len + n
-    mask = np.zeros((total, total), dtype=bool)
-    for i in range(prefix_len):
-        mask[i, : i + 1] = True
-    for i, node in enumerate(tree.nodes):
-        row = prefix_len + i
-        mask[row, :prefix_len] = True
-        mask[row, row] = True
-        p = node.parent
-        while p is not None:
-            mask[row, prefix_len + p] = True
-            p = tree.nodes[p].parent
-    return mask
+    return _visibility(_parents(tree.nodes), prefix_len + np.arange(n),
+                       np.arange(n), prefix_len, prefix_len + n)
+
+
+def chain_tree(tokens):
+    """Linear tree: ``tokens[0]`` is the root, each later token the child of the one before."""
+    nodes = [TreeNode(tok, d - 1 if d else None, d, 1.0, 1.0) for d, tok in enumerate(tokens)]
+    return TokenTree(nodes, budget=len(tokens) - 1, expand_k=1, select_m=1,
+                     max_depth=len(tokens) - 1)
 
 
 def flatten(tree, prefix_len):
     """Flattened (tokens, positions, parents); positions follow tree depth."""
     tokens = np.array([n.token for n in tree.nodes])
     positions = np.array([prefix_len + n.depth for n in tree.nodes])
-    parents = np.array([-1 if n.parent is None else n.parent for n in tree.nodes])
-    return tokens, positions, parents
+    return tokens, positions, _parents(tree.nodes)
+
+
+def _parents(nodes):
+    return np.array([-1 if n.parent is None else n.parent for n in nodes])
+
+
+def _visibility(parents, key_of, queries, prefix_len, n_keys):
+    """Boolean (len(queries), n_keys) visibility, one tree level per iteration.
+
+    Row r sees every key below ``prefix_len`` and the key ``key_of[j]`` of
+    node ``queries[r]`` and of each of its ancestors j (``parents`` is -1
+    at the root).
+    """
+    allowed = np.zeros((len(queries), n_keys), dtype=bool)
+    allowed[:, :prefix_len] = True
+    rows, node = np.arange(len(queries)), np.asarray(queries, dtype=int)
+    while node.size:
+        allowed[rows, key_of[node]] = True
+        up = parents[node] >= 0
+        rows, node = rows[up], parents[node[up]]
+    return allowed

@@ -148,7 +148,7 @@ class TestCriterion2StochasticLosslessness:
                 tree = drafter.propose(committed, features)
                 prefix = len(cache)
                 tokens, positions, _ = E.flatten(tree, prefix)
-                bias = M.allowed_to_bias(tree_attention_mask(tree, prefix)[prefix:, :])
+                bias = M.allowed_to_bias(tree_attention_mask(tree, prefix))
                 logits, node_feats = target.forward(tokens, positions=positions,
                                                     attn_bias=bias, cache=cache)
                 probs = E._temperature_probs(logits.data, 1.0)
@@ -287,7 +287,7 @@ class TestCriterion5MaskOracle:
             prefix = int(rng.integers(0, 8))
             tree = random_tree(rng, n)
             got = tree_attention_mask(tree, prefix)
-            want = oracles.mask_by_parent_walk(tree, prefix)
+            want = oracles.mask_by_parent_walk(tree, prefix)[prefix:]  # the tree rows
             bad += int(not np.array_equal(got, want))
         _announce(5, "attention masks equal parent-chain oracle on 1000 trees",
                   bad == 0, f"{bad} mismatching trees")

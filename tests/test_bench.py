@@ -10,7 +10,7 @@ from specdec import corpus as C
 from specdec import engine as E
 from specdec import model as M
 from specdec import tokenizer as TK
-from specdec.errors import ConfigError
+from specdec.errors import ConfigError, ContractError
 
 
 @pytest.fixture(scope="module")
@@ -48,6 +48,20 @@ class TestBenchCell:
                               B.DraftingConfig(depth=2, expand_k=2, select_m=2, budget=4),
                               small_bench(tasks=("copy",)), seed=4)
         assert report.variant == "no_fs"
+
+    def test_greedy_divergence_is_contract_error(self, micro_run, monkeypatch):
+        tok, target, drafts = micro_run
+        generate = E.SpeculativeEngine.generate
+
+        def diverging(self, *args, **kwargs):
+            out, stats = generate(self, *args, **kwargs)
+            return [(out[0] + 1) % target.config.vocab_size] + out[1:], stats
+
+        monkeypatch.setattr(E.SpeculativeEngine, "generate", diverging)
+        with pytest.raises(ContractError, match="greedy fairness violated"):
+            B.bench_cell(target, drafts["fspad"], tok, "continuation", 0.0,
+                         B.DraftingConfig(depth=2, expand_k=2, select_m=2, budget=4),
+                         small_bench(), seed=3)
 
     def test_stochastic_temperature_cell(self, micro_run):
         tok, target, drafts = micro_run

@@ -210,7 +210,7 @@ class TestCommit:
                 tree = drafter.propose(committed, features)
                 prefix = len(cache)
                 tokens, positions, _ = flatten(tree, prefix)
-                bias = allowed_to_bias(tree_attention_mask(tree, prefix)[prefix:, :])
+                bias = allowed_to_bias(tree_attention_mask(tree, prefix))
                 logits, node_feats = target.forward(tokens, positions=positions,
                                                     attn_bias=bias, cache=cache)
                 res = E.verify_greedy(tree, logits.data)
@@ -284,8 +284,16 @@ class TestProgressAndCapacity:
         cfg, target, draft = micro_stack(18, max_seq=16)
         drafter = E.ModelDrafter(draft, depth=3, expand_k=3, select_m=3, budget=10)
         engine = E.SpeculativeEngine(target, drafter)
+        # a prompt that leaves no room for a whole tree still decodes like vanilla
+        prompt = list(range(1, 15))
+        out, _ = engine.generate(prompt, 8, temperature=0.0)
+        want, _ = E.vanilla_generate(target, prompt, 8, temperature=0.0)
+        assert out == want
+        # a prompt that fills the context is refused by both
         with pytest.raises(CapacityError):
-            engine.generate(list(range(1, 15)), 8, temperature=0.0)
+            E.vanilla_generate(target, list(range(1, 17)), 8, temperature=0.0)
+        with pytest.raises(CapacityError):
+            engine.generate(list(range(1, 17)), 8, temperature=0.0)
 
     def test_context_filling_truncates_gracefully(self):
         cfg, target, draft = micro_stack(19, max_seq=32)
@@ -294,6 +302,8 @@ class TestProgressAndCapacity:
         out, stats = engine.generate([1, 2, 3], 200, temperature=0.0)
         assert stats.truncated
         assert len(out) < 200
+        want, _ = E.vanilla_generate(target, [1, 2, 3], 200, temperature=0.0)
+        assert out == want
 
     def test_eos_stops_generation(self):
         cfg, target, draft = micro_stack(20)
@@ -306,6 +316,47 @@ class TestProgressAndCapacity:
         assert got == want_eos
         assert got[-1] == eos
         assert stats.emitted == len(got)
+
+
+class TestContextEdge:
+    """Against vanilla at every prompt length up to a full context."""
+
+    PRESETS = (dict(depth=1, expand_k=1, select_m=1, budget=1),
+               dict(depth=3, expand_k=3, select_m=2, budget=6),
+               dict(depth=5, expand_k=2, select_m=2, budget=12))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_vanilla_at_every_prompt_length(self, seed):
+        rng = np.random.default_rng(300 + seed)
+        max_seq = int(rng.integers(10, 20))
+        cfg, target, draft = micro_stack(300 + seed, vocab=int(rng.integers(12, 40)),
+                                         layers=int(rng.integers(1, 3)), max_seq=max_seq)
+        for preset in self.PRESETS:
+            engine = E.SpeculativeEngine(target, E.ModelDrafter(draft, **preset))
+            for length in range(2, max_seq + 1):
+                prompt = rng.integers(0, cfg.vocab_size, size=length).tolist()
+                if length == max_seq:
+                    with pytest.raises(CapacityError):
+                        E.vanilla_generate(target, prompt, 4)
+                    with pytest.raises(CapacityError):
+                        engine.generate(prompt, 4)
+                    continue
+                for max_new in (3, 2 * max_seq):
+                    room = min(max_new, max_seq - length)
+                    greedy, _ = E.vanilla_generate(target, prompt, max_new)
+                    for eos in (None, greedy[len(greedy) // 2]):
+                        want, want_stats = E.vanilla_generate(target, prompt, max_new, eos_id=eos)
+                        got, stats = engine.generate(prompt, max_new, eos_id=eos)
+                        assert got == want
+                        assert (stats.emitted, stats.truncated) == (len(got), want_stats.truncated)
+
+                        kw = dict(temperature=0.8, seed=length, eos_id=eos)
+                        want, _ = E.vanilla_generate(target, prompt, max_new, **kw)
+                        got, _ = engine.generate(prompt, max_new, **kw)
+                        if eos is None:
+                            assert len(got) == len(want) == room
+                        else:
+                            assert len(got) == room or (len(got) < room and got[-1] == eos)
 
 
 class TestStepRng:

@@ -1,6 +1,9 @@
 """Model tests: forward contracts, connector math, draft path separation,
 checkpoint round-trips."""
 
+import builtins
+import os
+
 import numpy as np
 import pytest
 
@@ -14,6 +17,35 @@ def micro_config(**kw):
                     n_layers=2, n_heads=2, max_seq_len=64)
     defaults.update(kw)
     return M.ModelConfig(**defaults)
+
+
+def fail_writes_halfway(monkeypatch):
+    """Every file opened for writing from now on fails halfway through its first write."""
+    real_open = builtins.open
+
+    class HalfWriter:
+        def __init__(self, f):
+            self.f = f
+
+        def write(self, data):
+            self.f.write(data[: len(data) // 2])
+            self.f.flush()
+            raise OSError("no space left on device")
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.f.close()
+
+        def __getattr__(self, name):
+            return getattr(self.f, name)
+
+    def half_open(file, mode="r", *args, **kwargs):
+        f = real_open(file, mode, *args, **kwargs)
+        return HalfWriter(f) if set(mode) & set("wax") else f
+
+    monkeypatch.setattr(builtins, "open", half_open)
 
 
 @pytest.fixture(autouse=True)
@@ -239,6 +271,19 @@ class TestCheckpoint:
         loaded = M.load_checkpoint(path, target=target)
         assert loaded.variant == "no_fs"
         for name, t in draft.named_tensors().items():
+            np.testing.assert_array_equal(loaded.named_tensors()[name].data, t.data)
+
+    def test_failed_save_keeps_earlier_file(self, tmp_path, monkeypatch):
+        target = M.TargetModel(micro_config(), seed=15)
+        path = tmp_path / "target.fspd"
+        M.save_checkpoint(target, path)
+        fail_writes_halfway(monkeypatch)
+        with pytest.raises(OSError):
+            M.save_checkpoint(M.TargetModel(micro_config(), seed=16), path)
+        monkeypatch.undo()
+        assert os.listdir(tmp_path) == ["target.fspd"]  # no temp file left behind
+        loaded = M.load_checkpoint(path)
+        for name, t in target.named_tensors().items():
             np.testing.assert_array_equal(loaded.named_tensors()[name].data, t.data)
 
     def test_truncated_file_rejected(self, tmp_path):

@@ -1,10 +1,13 @@
 """Byte-fallback BPE tests."""
 
+import os
+
 import numpy as np
 import pytest
 
 from specdec import tokenizer as TK
 from specdec.errors import ContractError
+from test_model import fail_writes_halfway
 
 
 class TestRoundTrip:
@@ -108,3 +111,16 @@ class TestPersistence:
         assert back.merges == tok.merges
         s = "some repeated text"
         assert back.encode(s) == tok.encode(s)
+
+    def test_failed_save_keeps_earlier_file(self, tmp_path, monkeypatch):
+        tok = TK.build_tokenizer("some repeated text, some repeated text", 270)
+        path = tmp_path / "tok.json"
+        tok.save(path)
+        before = path.read_bytes()
+        fail_writes_halfway(monkeypatch)
+        with pytest.raises(OSError):
+            TK.build_tokenizer("other words, other words", 270).save(path)
+        monkeypatch.undo()
+        assert os.listdir(tmp_path) == ["tok.json"]  # no temp file left behind
+        assert path.read_bytes() == before
+        assert TK.Tokenizer.load(path).merges == tok.merges

@@ -140,14 +140,6 @@ class TestBuildDraftTree:
             build(draft, feat, 0, depth=1, expand_k=2, select_m=2, budget=0)
 
 
-def chain_tree(tokens):
-    nodes = [TR.TreeNode(tokens[0], None, 0, 1.0, 1.0)]
-    for d, tok in enumerate(tokens[1:], start=1):
-        nodes.append(TR.TreeNode(tok, d - 1, d, 1.0, 1.0))
-    return TR.TokenTree(nodes, budget=len(tokens) - 1, expand_k=1, select_m=1,
-                        max_depth=len(tokens) - 1)
-
-
 def random_tree(rng, n_nodes, vocab=32):
     nodes = [TR.TreeNode(int(rng.integers(vocab)), None, 0, 1.0, 1.0)]
     for _ in range(n_nodes - 1):
@@ -167,7 +159,7 @@ def random_tree(rng, n_nodes, vocab=32):
 
 class TestAttentionMask:
     def test_chain_is_lower_triangular(self):
-        tree = chain_tree([1, 2, 3])
+        tree = TR.chain_tree([1, 2, 3])
         mask = TR.tree_attention_mask(tree, prefix_len=0)
         np.testing.assert_array_equal(mask, np.tril(np.ones((3, 3), dtype=bool)))
 
@@ -177,11 +169,12 @@ class TestAttentionMask:
                  TR.TreeNode(3, 0, 1, 0.5, 0.5)]
         tree = TR.TokenTree(nodes, budget=2, expand_k=2, select_m=1, max_depth=1)
         mask = TR.tree_attention_mask(tree, prefix_len=2)
-        for row, node in ((3, 1), (4, 2)):
+        assert mask.shape == (3, 5)             # tree rows only, over prefix + tree keys
+        for row in (1, 2):
             assert mask[row, :2].all()          # full prefix
             assert mask[row, 2]                 # root
-            assert mask[row, row]               # self
-        assert not mask[3, 4] and not mask[4, 3]
+            assert mask[row, 2 + row]           # self
+        assert not mask[1, 4] and not mask[2, 3]
 
     def test_matches_parent_walk_oracle(self):
         rng = np.random.default_rng(7)
@@ -190,7 +183,7 @@ class TestAttentionMask:
             prefix = int(rng.integers(0, 5))
             tree = random_tree(rng, n)
             got = TR.tree_attention_mask(tree, prefix)
-            want = oracles.mask_by_parent_walk(tree, prefix)
+            want = oracles.mask_by_parent_walk(tree, prefix)[prefix:]
             np.testing.assert_array_equal(got, want)
 
     def test_non_topological_order_rejected(self):
@@ -203,7 +196,7 @@ class TestAttentionMask:
 
 class TestFlatten:
     def test_chain_positions(self):
-        tree = chain_tree([7, 8, 9])
+        tree = TR.chain_tree([7, 8, 9])
         tokens, positions, parents = TR.flatten(tree, prefix_len=10)
         np.testing.assert_array_equal(tokens, [7, 8, 9])
         np.testing.assert_array_equal(positions, [10, 11, 12])
