@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import time
 from dataclasses import asdict, dataclass, fields
@@ -21,7 +22,7 @@ import numpy as np
 from .corpus import TASKS, task_prompts
 from .engine import ModelDrafter, SpeculativeEngine, vanilla_generate
 from .errors import CapacityError, ConfigError, ContractError
-from .model import VARIANTS, ConfigSection
+from .model import VARIANTS, ConfigSection, write_atomic
 from .tokenizer import EOS
 
 
@@ -204,17 +205,17 @@ def write_reports(reports, out_path):
     """JSON array at ``out_path`` plus a CSV sibling with the same rows."""
     out_path = str(out_path)
     rows = [r.to_dict() for r in reports]
-    with open(out_path, "w", encoding="utf-8") as f:
-        json.dump(rows, f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_atomic(out_path, (json.dumps(rows, indent=2, sort_keys=True) + "\n").encode("utf-8"))
     csv_path = out_path.rsplit(".", 1)[0] + ".csv"
     names = [f.name for f in fields(BenchReport)]
-    with open(csv_path, "w", encoding="utf-8", newline="") as f:
-        writer = csv.DictWriter(f, fieldnames=names)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+    _write_csv(csv_path, [names] + [[row[n] for n in names] for row in rows])
     return csv_path
+
+
+def _write_csv(path, rows):
+    buf = io.StringIO(newline="")
+    csv.writer(buf).writerows(rows)
+    write_atomic(path, buf.getvalue().encode("utf-8"))
 
 
 def emit_plots(reports, out_path):
@@ -223,11 +224,8 @@ def emit_plots(reports, out_path):
     Re-running on the same reports is byte-identical.
     """
     rows = sorted((r.task, r.variant, r.tau) for r in reports)
-    with open(out_path, "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["task", "variant", "tau"])
-        for task, variant, tau in rows:
-            writer.writerow([task, variant, f"{tau:.9f}"])
+    _write_csv(out_path, [["task", "variant", "tau"]] +
+               [[task, variant, f"{tau:.9f}"] for task, variant, tau in rows])
     return out_path
 
 

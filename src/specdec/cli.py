@@ -217,8 +217,8 @@ def cmd_ablate(args):
         _say("=" * 66)
     else:
         _say("ablation ordering holds: full configuration leads every cell")
-    with open(os.path.splitext(out_path)[0] + "_summary.json", "w") as f:
-        json.dump(summary, f, indent=2, sort_keys=True)
+    M.write_atomic(os.path.splitext(out_path)[0] + "_summary.json",
+                   json.dumps(summary, indent=2, sort_keys=True).encode("utf-8"))
     return EXIT_OK
 
 

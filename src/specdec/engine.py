@@ -29,7 +29,6 @@ import numpy as np
 
 from . import tensor as T
 from .errors import CapacityError, ContractError, NumericError
-from .model import allowed_to_bias, causal_bias
 from .tree import build_draft_tree, chain_tree, flatten, tree_attention_mask
 
 
@@ -174,14 +173,9 @@ class ModelDrafter:
         upto = len(committed) - 2
         if upto <= self.synced:
             return 0
-        idx = np.arange(self.synced, upto)
-        feats = np.stack([features[i] for i in idx])
-        toks = np.array([committed[i + 1] for i in idx])
-        embeds = T.embedding(self.draft.embed, toks)
-        fused = self.draft.fuse(T.Tensor(feats), embeds)
-        n = len(idx)
-        self.draft.forward(fused, positions=idx,
-                           attn_bias=causal_bias(n, self.synced + n), cache=self.cache)
+        # the cache holds ``synced`` rows, so the default positions and causal mask fit
+        self.draft.forward(np.stack(features[self.synced:upto])[None],
+                           [committed[self.synced + 1:upto + 1]], cache=self.cache)
         self.synced = upto
         return 1
 
@@ -189,9 +183,11 @@ class ModelDrafter:
         if len(committed) < 2:
             raise ContractError("drafting needs at least two committed tokens")
         passes = self._sync(committed, features)
+        # the deepest node sits at position len(committed) - 1 + depth
+        depth = min(self.depth, self.draft.config.max_seq_len - len(committed))
         tree, tree_passes = build_draft_tree(
             self.draft, features[len(committed) - 2], committed[-1],
-            depth=self.depth, expand_k=self.expand_k, select_m=self.select_m,
+            depth=depth, expand_k=self.expand_k, select_m=self.select_m,
             budget=self.budget, cache=self.cache, prefix_len=self.synced)
         # keep only the root row (a true committed pair); drop speculative rows
         self.cache.truncate(self.synced + 1)
@@ -226,8 +222,7 @@ class SpeculativeEngine:
             raise ContractError("prompt must hold at least two tokens (lead with BOS)")
         max_len = self.target.config.max_seq_len
         if len(prompt) >= max_len:
-            raise CapacityError(f"prompt of {len(prompt)} tokens does not fit context {max_len}",
-                                partial_tokens=[])
+            raise CapacityError(f"prompt of {len(prompt)} tokens does not fit context {max_len}")
         stop = min(len(prompt) + max_new, max_len)  # the committed length at which vanilla stops
 
         start = time.perf_counter()
@@ -246,9 +241,9 @@ class SpeculativeEngine:
                 if prefix + max(n.depth for n in tree.nodes) >= max_len:
                     tree = chain_tree(committed[-1:])  # the root alone is one vanilla step
                 tokens, positions, _ = flatten(tree, prefix)
-                bias = allowed_to_bias(tree_attention_mask(tree, prefix))
                 logits, node_feats = self.target.forward(
-                    tokens, positions=positions, attn_bias=bias, cache=cache)
+                    tokens, positions=positions, mask=tree_attention_mask(tree, prefix),
+                    cache=cache)
 
                 if temperature == 0.0:
                     result = verify_greedy(tree, logits.data)
@@ -304,8 +299,7 @@ def vanilla_generate(target, prompt, max_new, temperature=0.0, seed=0, eos_id=No
         raise ContractError("prompt must be nonempty")
     max_len = target.config.max_seq_len
     if len(prompt) >= max_len:
-        raise CapacityError(f"prompt of {len(prompt)} tokens does not fit context {max_len}",
-                            partial_tokens=[])
+        raise CapacityError(f"prompt of {len(prompt)} tokens does not fit context {max_len}")
     start = time.perf_counter()
     stats = GenerationStats()
     out = []

@@ -18,14 +18,7 @@ class ContractError(SpecDecError):
 
 
 class CapacityError(SpecDecError):
-    """Sequence would exceed the model's maximum context length.
-
-    Carries whatever tokens were produced before the overflow.
-    """
-
-    def __init__(self, msg, partial_tokens=None):
-        super().__init__(msg)
-        self.partial_tokens = list(partial_tokens or [])
+    """Sequence would exceed the model's maximum context length."""
 
 
 class CheckpointFormatError(SpecDecError):

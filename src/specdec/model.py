@@ -5,8 +5,14 @@ alongside logits, the feature sequence: the hidden state entering the
 final norm + output head.  The draft model is a single decoder layer
 whose MLP can emit two hidden-size outputs sharing one residual: one
 feeds the output head (logit path), the other feeds the next
-autoregressive step.  A connector fuses a feature with the next token's
-embedding into the draft model's input row.
+autoregressive step.  The draft takes target (or carry) features and
+token ids; its connector fuses feature row i with the embedding of token
+i into the layer's input row.
+
+Both forwards share one preamble: positions default to following the
+cache, the boolean visibility mask defaults to causal and becomes an
+additive bias once, and the rotary tables are built once per forward and
+handed to every layer.
 
 All inference paths are expected to run inside ``tensor.no_grad()``.
 """
@@ -161,16 +167,15 @@ class Attention:
         self.wv = Linear(rng, c, c)
         self.wo = Linear(rng, c, c)
 
-    def __call__(self, x, positions, attn_bias, cache=None, layer_idx=0):
+    def __call__(self, x, rope, bias, cache=None, layer_idx=0):
         b, t, c = x.data.shape
         h, dh = self.config.n_heads, self.config.head_dim
-        cos, sin = rope_tables(positions, dh, self.config.rope_base, dtype=x.dtype)
 
         def heads(z):
             return T.transpose(T.reshape(z, (b, t, h, dh)), (0, 2, 1, 3))
 
-        q = _apply_rope(heads(self.wq(x)), cos, sin)
-        k = _apply_rope(heads(self.wk(x)), cos, sin)
+        q = _apply_rope(heads(self.wq(x)), *rope)
+        k = _apply_rope(heads(self.wk(x)), *rope)
         v = heads(self.wv(x))
 
         if cache is not None:
@@ -181,13 +186,7 @@ class Attention:
             v = Tensor(cache.values[layer_idx][None])
 
         scores = T.scale(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
-        if attn_bias is not None:
-            if attn_bias.shape != (t, k.data.shape[2]):
-                raise ContractError(
-                    f"attention bias shape {attn_bias.shape} does not match "
-                    f"(queries, keys) = ({t}, {k.data.shape[2]})"
-                )
-            scores = T.add_const(scores, attn_bias[None, None])
+        scores = T.add_const(scores, bias[None, None])  # rebinding frees the unbiased scores
         attn = T.softmax(scores, axis=-1)
         out = T.transpose(T.matmul(attn, v), (0, 2, 1, 3))
         return self.wo(T.reshape(out, (b, t, c)))
@@ -213,11 +212,11 @@ class DecoderLayer:
         self.mlp_norm = RMSNorm(config.hidden_size)
         self.mlp = GatedMLP(rng, config, out_mult=mlp_out_mult)
 
-    def residual_after_attention(self, x, positions, attn_bias, cache=None, layer_idx=0):
-        return T.add(x, self.attn(self.attn_norm(x), positions, attn_bias, cache, layer_idx))
+    def residual_after_attention(self, x, rope, bias, cache=None, layer_idx=0):
+        return T.add(x, self.attn(self.attn_norm(x), rope, bias, cache, layer_idx))
 
-    def __call__(self, x, positions, attn_bias, cache=None, layer_idx=0):
-        r = self.residual_after_attention(x, positions, attn_bias, cache, layer_idx)
+    def __call__(self, x, rope, bias, cache=None, layer_idx=0):
+        r = self.residual_after_attention(x, rope, bias, cache, layer_idx)
         return T.add(r, self.mlp(self.mlp_norm(r)))
 
     def named_tensors(self, prefix):
@@ -227,23 +226,36 @@ class DecoderLayer:
         return {f"{prefix}{name}.weight": part.weight for name, part in parts.items()}
 
 
-def causal_bias(n_queries, n_keys, dtype=np.float32):
-    """Additive mask letting query i see keys 0..(n_keys - n_queries + i)."""
+def causal_mask(n_queries, n_keys):
+    """Boolean visibility letting query i see keys 0..(n_keys - n_queries + i)."""
     offset = n_keys - n_queries
     if offset < 0:
         raise ContractError(f"more queries ({n_queries}) than keys ({n_keys})")
-    bias = np.zeros((n_queries, n_keys), dtype=dtype)
-    cols = np.arange(n_keys)[None, :]
-    rows = np.arange(n_queries)[:, None]
-    bias[cols > rows + offset] = MASK_OFF
-    return bias
+    return np.arange(n_keys)[None, :] <= np.arange(n_queries)[:, None] + offset
 
 
-def allowed_to_bias(allowed, dtype=np.float32):
-    """Boolean visibility matrix -> additive attention bias."""
-    bias = np.zeros(allowed.shape, dtype=dtype)
-    bias[~allowed] = MASK_OFF
-    return bias
+def _preamble(config, x, positions, mask, cache):
+    """Rotary tables and additive bias for the rows of ``x`` (B, T, hidden).
+
+    ``positions`` default to following the cache and ``mask``, a boolean
+    (T, cached + T) visibility, to causal.
+    """
+    t = x.data.shape[1]
+    past = len(cache) if cache is not None else 0
+    positions = np.arange(past, past + t) if positions is None else np.asarray(positions)
+    if positions.max(initial=0) >= config.max_seq_len:
+        raise CapacityError(
+            f"position {int(positions.max())} exceeds max_seq_len {config.max_seq_len}"
+        )
+    if mask is None:
+        mask = causal_mask(t, past + t)
+    if mask.shape != (t, past + t):
+        raise ContractError(
+            f"attention mask shape {mask.shape} does not match (queries, keys) = ({t}, {past + t})"
+        )
+    bias = np.zeros(mask.shape, dtype=np.float32)
+    bias[~mask] = MASK_OFF
+    return rope_tables(positions, config.head_dim, config.rope_base, dtype=x.dtype), bias
 
 
 class TargetModel:
@@ -257,12 +269,12 @@ class TargetModel:
         self.final_norm = RMSNorm(config.hidden_size)
         self.head = Linear(rng, config.hidden_size, config.vocab_size)
 
-    def forward(self, tokens, positions=None, attn_bias=None, cache=None):
+    def forward(self, tokens, positions=None, mask=None, cache=None):
         """Run the stack over ``tokens``.
 
         tokens: int array (T,) or (B, T).  When ``cache`` is given the
         new keys/values are appended (batch must be 1) and ``positions``
-        /``attn_bias`` describe the new rows against the grown cache.
+        /``mask`` describe the new rows against the grown cache.
         Returns (logits, features), each with the batch layout of the
         input.
         """
@@ -270,22 +282,10 @@ class TargetModel:
         squeeze = tokens.ndim == 1
         if squeeze:
             tokens = tokens[None]
-        b, t = tokens.shape
-        past = len(cache) if cache is not None else 0
-        if positions is None:
-            positions = np.arange(past, past + t)
-        positions = np.asarray(positions)
-        if positions.max(initial=0) >= self.config.max_seq_len:
-            raise CapacityError(
-                f"position {int(positions.max())} exceeds max_seq_len {self.config.max_seq_len}"
-            )
-        if attn_bias is None:
-            attn_bias = causal_bias(t, past + t)
-
-        x = T.embedding(self.embed, tokens)
+        features = T.embedding(self.embed, tokens)
+        rope, bias = _preamble(self.config, features, positions, mask, cache)
         for i, layer in enumerate(self.layers):
-            x = layer(x, positions, attn_bias, cache, i)
-        features = x
+            features = layer(features, rope, bias, cache, i)
         logits = self.head(self.final_norm(features))
         if squeeze:
             return T.reshape(logits, logits.data.shape[1:]), T.reshape(features, features.data.shape[1:])
@@ -331,10 +331,6 @@ class FeatureSampler:
         self.down = Linear(rng, i, c)
 
     def __call__(self, feats, embeds):
-        if feats.data.shape != embeds.data.shape:
-            raise DimensionError(
-                f"feature shape {feats.data.shape} does not match embedding shape {embeds.data.shape}"
-            )
         sampled = T.mul(T.silu(self.gate(embeds)), self.up(feats))
         return T.add(feats, self.down(sampled))
 
@@ -355,10 +351,6 @@ class LinearCombiner:
         self.bias = Tensor(np.zeros(c, dtype=np.float32), requires_grad=True)
 
     def __call__(self, feats, embeds):
-        if feats.data.shape != embeds.data.shape:
-            raise DimensionError(
-                f"feature shape {feats.data.shape} does not match embedding shape {embeds.data.shape}"
-            )
         return T.add(T.matmul(T.concat_last([feats, embeds]), self.weight), self.bias)
 
     def named_tensors(self):
@@ -408,28 +400,22 @@ class DraftModel:
             self.connector = LinearCombiner(rng, config)
         self.layer = DecoderLayer(rng, config, mlp_out_mult=2 if self.dual_path else 1)
 
-    @property
-    def embed(self):
-        return self.target.embed
-
-    def fuse(self, feats, embeds):
-        return self.connector(feats, embeds)
-
-    def forward(self, fused, positions=None, attn_bias=None, cache=None):
+    def forward(self, feats, tokens, positions=None, mask=None, cache=None):
         """Run the draft layer over fused rows; returns DraftStepOutput.
 
-        ``fused`` is (B, T, hidden) or (T, hidden).
+        ``feats`` is a (B, T, hidden) array of target or carry features
+        and ``tokens`` the (B, T) ids whose embeddings the connector fuses
+        into them, row by row.  Outputs are (B, T, ...).
         """
-        squeeze = fused.data.ndim == 2
-        if squeeze:
-            fused = T.reshape(fused, (1,) + fused.data.shape)
-        b, t, _ = fused.data.shape
-        past = len(cache) if cache is not None else 0
-        if positions is None:
-            positions = np.arange(past, past + t)
-        if attn_bias is None:
-            attn_bias = causal_bias(t, past + t)
-        r = self.layer.residual_after_attention(fused, positions, attn_bias, cache, 0)
+        feats, tokens = T.Tensor(feats), np.asarray(tokens)
+        if tokens.ndim != 2 or feats.data.shape != tokens.shape + (self.config.hidden_size,):
+            raise DimensionError(
+                f"features {feats.data.shape} do not match tokens {tokens.shape} "
+                f"and hidden size {self.config.hidden_size}"
+            )
+        fused = self.connector(feats, T.embedding(self.target.embed, tokens))
+        rope, bias = _preamble(self.config, fused, positions, mask, cache)
+        r = self.layer.residual_after_attention(fused, rope, bias, cache, 0)
         m = self.layer.mlp(self.layer.mlp_norm(r))
         if self.dual_path:
             m_logit, m_auto = T.split_last(m, [self.config.hidden_size] * 2)
@@ -437,13 +423,8 @@ class DraftModel:
             next_feature = T.add(r, m_auto)
         else:
             logit_feature = next_feature = T.add(r, m)
-        logits = self.target.logits_from_features(logit_feature)
-        if squeeze:
-            tied = logit_feature is next_feature
-            logit_feature = T.reshape(logit_feature, logit_feature.data.shape[1:])
-            next_feature = logit_feature if tied else T.reshape(next_feature, next_feature.data.shape[1:])
-            logits = T.reshape(logits, logits.data.shape[1:])
-        return DraftStepOutput(logit_feature, next_feature, logits)
+        return DraftStepOutput(logit_feature, next_feature,
+                               self.target.logits_from_features(logit_feature))
 
     def new_cache(self):
         return KvCache(1)

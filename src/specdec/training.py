@@ -202,10 +202,7 @@ def draft_batch_losses(target, draft, tokens, valid, response, loss_weight):
     feats_s = teacher_feats[:, 1:]
     pair_mask = pair_mask & valid[:, :-1]
 
-    in_feats = T.Tensor(teacher_feats[:, :-1])
-    in_embeds = T.embedding(draft.embed, tokens[:, 1:])
-    fused = draft.fuse(in_feats, in_embeds)
-    out = draft.forward(fused)
+    out = draft.forward(teacher_feats[:, :-1], tokens[:, 1:])
 
     token_loss = T.cross_entropy(out.logits, T.Tensor(probs_s), pair_mask)
     feature_loss = T.smooth_l1(out.next_feature, T.Tensor(feats_s), pair_mask)
@@ -276,9 +273,7 @@ def eval_draft_accuracy(target, draft, eval_docs, top_k=(1,), max_docs=None):
         for i in range(0, len(docs), 8):
             tokens, valid, response = _pad_batch(docs[i: i + 8])
             teacher_feats, teacher_logits = extract_teacher_trace(target, tokens)
-            fused = draft.fuse(T.Tensor(teacher_feats[:, :-1]),
-                               T.embedding(draft.embed, tokens[:, 1:]))
-            out = draft.forward(fused)
+            out = draft.forward(teacher_feats[:, :-1], tokens[:, 1:])
             _, pair_mask = shift_mask(teacher_logits, response & valid)
             pair_mask = pair_mask & valid[:, :-1]
             teacher_top = np.argmax(teacher_logits[:, 1:], axis=-1)

@@ -20,7 +20,6 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ContractError, NumericError
-from .model import allowed_to_bias
 
 
 class TreeNode:
@@ -40,14 +39,10 @@ class TreeNode:
 
 
 class TokenTree:
-    """Root plus at most ``budget`` candidate nodes, parents before children."""
+    """Root plus candidate nodes, parents before children."""
 
-    def __init__(self, nodes, budget, expand_k, select_m, max_depth):
+    def __init__(self, nodes):
         self.nodes = nodes
-        self.budget = budget
-        self.expand_k = expand_k
-        self.select_m = select_m
-        self.max_depth = max_depth
         self._validate()
 
     def _validate(self):
@@ -60,8 +55,6 @@ class TokenTree:
             parent = self.nodes[p]
             if node.depth != parent.depth + 1:
                 raise ContractError(f"node {i} depth {node.depth} != parent depth + 1")
-        if self.num_candidates > self.budget:
-            raise ContractError(f"{self.num_candidates} candidates exceed budget {self.budget}")
 
     def __len__(self):
         return len(self.nodes)
@@ -86,13 +79,10 @@ class TokenTree:
         return json.dumps({"nodes": [n.to_dict() for n in self.nodes]}, sort_keys=True)
 
     @classmethod
-    def from_json(cls, text, budget=None, expand_k=0, select_m=0, max_depth=0):
+    def from_json(cls, text):
         raw = json.loads(text)["nodes"]
-        nodes = [TreeNode(r["token"], r["parent"], r["depth"], r["cond_prob"], r["joint_prob"])
-                 for r in raw]
-        if budget is None:
-            budget = max(0, len(nodes) - 1)
-        return cls(nodes, budget, expand_k, select_m, max_depth)
+        return cls([TreeNode(r["token"], r["parent"], r["depth"], r["cond_prob"], r["joint_prob"])
+                    for r in raw])
 
 
 def rank_key(node, idx):
@@ -136,17 +126,12 @@ def build_draft_tree(draft, root_feature, root_token, *, depth, expand_k, select
             root_feature if pool[i].parent is None else pool[pool[i].parent].feature
             for i in indices
         ])
-        tokens = np.array([pool[i].token for i in indices])
-        embeds = T.embedding(draft.embed, tokens)
-        fused = draft.fuse(T.Tensor(feats[None]), T.reshape(embeds, (1, n, -1)))
-
         base = len(cache)
         row_of[indices] = base + np.arange(n)
         allowed = _visibility(_parents(pool), row_of, indices, prefix_len, base + n)
         positions = np.array([prefix_len + pool[i].depth for i in indices])
-
-        out = draft.forward(fused, positions=positions,
-                            attn_bias=allowed_to_bias(allowed), cache=cache)
+        out = draft.forward(feats[None], [[pool[i].token for i in indices]], positions=positions,
+                            mask=allowed, cache=cache)
         passes += 1
         if np.isnan(out.logits.data).any():
             raise NumericError("draft produced NaN logits")
@@ -186,7 +171,7 @@ def build_draft_tree(draft, root_feature, root_token, *, depth, expand_k, select
             raise ContractError("top-N selection broke ancestor closure")
         nodes.append(TreeNode(n.token, index_map[n.parent], n.depth,
                               n.cond_prob, n.joint_prob, n.feature))
-    return TokenTree(nodes, budget, expand_k, select_m, depth), passes
+    return TokenTree(nodes), passes
 
 
 def tree_attention_mask(tree, prefix_len):
@@ -203,8 +188,7 @@ def tree_attention_mask(tree, prefix_len):
 def chain_tree(tokens):
     """Linear tree: ``tokens[0]`` is the root, each later token the child of the one before."""
     nodes = [TreeNode(tok, d - 1 if d else None, d, 1.0, 1.0) for d, tok in enumerate(tokens)]
-    return TokenTree(nodes, budget=len(tokens) - 1, expand_k=1, select_m=1,
-                     max_depth=len(tokens) - 1)
+    return TokenTree(nodes)
 
 
 def flatten(tree, prefix_len):

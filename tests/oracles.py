@@ -43,11 +43,9 @@ def linear_draft_probs(draft, root_feature, chain_tokens):
     feat = np.asarray(root_feature)
     with T.no_grad():
         for tok in chain_tokens:
-            embeds = T.embedding(draft.embed, np.array([tok]))
-            fused = draft.fuse(T.Tensor(feat[None]), embeds)
-            out = draft.forward(fused, cache=cache)
-            dists.append(T.softmax(out.logits, axis=-1).data[0].copy())
-            feat = out.next_feature.data[0]
+            out = draft.forward(feat[None, None], [[tok]], cache=cache)
+            dists.append(T.softmax(out.logits, axis=-1).data[0, 0].copy())
+            feat = out.next_feature.data[0, 0]
     return dists
 
 

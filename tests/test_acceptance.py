@@ -148,9 +148,9 @@ class TestCriterion2StochasticLosslessness:
                 tree = drafter.propose(committed, features)
                 prefix = len(cache)
                 tokens, positions, _ = E.flatten(tree, prefix)
-                bias = M.allowed_to_bias(tree_attention_mask(tree, prefix))
+                mask = tree_attention_mask(tree, prefix)
                 logits, node_feats = target.forward(tokens, positions=positions,
-                                                    attn_bias=bias, cache=cache)
+                                                    mask=mask, cache=cache)
                 probs = E._temperature_probs(logits.data, 1.0)
 
                 rng = E.step_rng(404, pos)

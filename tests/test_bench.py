@@ -1,6 +1,7 @@
 """Benchmark harness tests on micro models."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from specdec import engine as E
 from specdec import model as M
 from specdec import tokenizer as TK
 from specdec.errors import ConfigError, ContractError
+from test_model import fail_writes_halfway
 
 
 @pytest.fixture(scope="module")
@@ -214,3 +216,19 @@ class TestEmitPlots:
         B.write_reports(reports, out)
         back = B.load_reports(out)
         assert [r.to_dict() for r in back] == [r.to_dict() for r in reports]
+
+    def test_failed_write_keeps_earlier_report(self, tmp_path, monkeypatch):
+        reports = self._fake_reports()
+        out = tmp_path / "r.json"
+        B.write_reports(reports, out)
+        B.emit_plots(reports, tmp_path / "plot.csv")
+        before = {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)}
+        fail_writes_halfway(monkeypatch)
+        with pytest.raises(OSError):
+            B.write_reports(reports[:1], out)
+        with pytest.raises(OSError):
+            B.emit_plots(reports[:1], tmp_path / "plot.csv")
+        monkeypatch.undo()
+        # no temp file left behind, every earlier file whole
+        assert {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)} == before
+        assert [r.to_dict() for r in B.load_reports(out)] == [r.to_dict() for r in reports]

@@ -26,7 +26,7 @@ def two_level_tree(root, children, grandchildren=()):
         nodes.append(TreeNode(tok, 0, 1, q, q))
     for tok, q in grandchildren:
         nodes.append(TreeNode(tok, 1, 2, q, children[0][1] * q))
-    return TokenTree(nodes, budget=len(nodes) - 1, expand_k=8, select_m=8, max_depth=2)
+    return TokenTree(nodes)
 
 
 class TestVerifyGreedy:
@@ -204,15 +204,14 @@ class TestCommit:
             _, feats = target.forward(np.array(committed[:-1]), cache=cache)
             features = [feats.data[i] for i in range(len(committed) - 1)]
             drafter.reset()
-            from specdec.model import allowed_to_bias
             from specdec.tree import flatten, tree_attention_mask
             for _ in range(4):
                 tree = drafter.propose(committed, features)
                 prefix = len(cache)
                 tokens, positions, _ = flatten(tree, prefix)
-                bias = allowed_to_bias(tree_attention_mask(tree, prefix))
+                mask = tree_attention_mask(tree, prefix)
                 logits, node_feats = target.forward(tokens, positions=positions,
-                                                    attn_bias=bias, cache=cache)
+                                                    mask=mask, cache=cache)
                 res = E.verify_greedy(tree, logits.data)
                 keep = np.concatenate([np.arange(prefix),
                                        prefix + np.array([0] + res.accepted_path, dtype=int)])
@@ -357,6 +356,18 @@ class TestContextEdge:
                             assert len(got) == len(want) == room
                         else:
                             assert len(got) == room or (len(got) < room and got[-1] == eos)
+
+    def test_trees_shrink_to_the_room_left(self):
+        # within ``depth`` of the edge the drafter drafts shallower trees
+        # instead of full ones that the engine would drop for the root alone
+        cfg, target, draft = micro_stack(310, max_seq=64)
+        engine = E.SpeculativeEngine(
+            target, E.ModelDrafter(draft, depth=5, expand_k=1, select_m=1, budget=5))
+        prompt = np.random.default_rng(310).integers(0, cfg.vocab_size, size=60).tolist()
+        got, stats = engine.generate(prompt, 10)
+        want, _ = E.vanilla_generate(target, prompt, 10)
+        assert got == want
+        assert min(stats.tree_sizes) > 1
 
 
 class TestStepRng:

@@ -110,10 +110,9 @@ class TestTargetForward:
         allowed[0, 3] = True           # root sees itself
         allowed[1, [3, 4]] = True      # child a: root + itself
         allowed[2, [3, 5]] = True      # child b: root + itself
-        bias = M.allowed_to_bias(allowed)
         positions = np.array([3, 4, 4])
         tree_logits, _ = target.forward(np.array([root, child_a, child_b]),
-                                        positions=positions, attn_bias=bias, cache=cache)
+                                        positions=positions, mask=allowed, cache=cache)
 
         for child, row in ((child_a, 1), (child_b, 2)):
             lin, _ = target.forward(np.concatenate([prefix, [root, child]]))
@@ -169,8 +168,9 @@ class TestFeatureSampler:
             f = T.Tensor(np.zeros((b, s, 16), dtype=np.float32))
             e = T.Tensor(np.ones((b, s, 16), dtype=np.float32))
             assert fs(f, e).data.shape == (b, s, 16)
+        draft = M.DraftModel(cfg, M.TargetModel(cfg, seed=4), variant="fspad", seed=5)
         with pytest.raises(DimensionError):
-            fs(T.Tensor(np.zeros((1, 2, 16))), T.Tensor(np.zeros((1, 3, 16))))
+            draft.forward(np.zeros((1, 2, 16)), np.zeros((1, 3), dtype=int))
 
 
 class TestDraftModel:
@@ -179,39 +179,43 @@ class TestDraftModel:
         target = M.TargetModel(cfg, seed=seed)
         return cfg, target, M.DraftModel(cfg, target, variant=variant, seed=seed + 1)
 
+    @staticmethod
+    def _inputs(seed, n):
+        rng = np.random.default_rng(seed)
+        return rng.normal(size=(1, n, 16)).astype(np.float32), rng.integers(0, 32, size=(1, n))
+
     def test_zero_mlp_shares_residual(self):
         _, _, draft = self._stack()
         draft.layer.mlp.down.weight.data[:] = 0.0
-        fused = T.Tensor(np.random.default_rng(0).normal(size=(3, 16)).astype(np.float32))
-        out = draft.forward(fused)
+        out = draft.forward(*self._inputs(0, 3))
         np.testing.assert_array_equal(out.logit_feature.data, out.next_feature.data)
 
     def test_path_separation(self):
         # perturbing the autoregression half of the MLP leaves logits untouched
         cfg, _, draft = self._stack()
-        fused = T.Tensor(np.random.default_rng(1).normal(size=(4, 16)).astype(np.float32))
-        before = draft.forward(fused)
+        feats, tokens = self._inputs(1, 4)
+        before = draft.forward(feats, tokens)
         draft.layer.mlp.down.weight.data[:, cfg.hidden_size:] += 0.37
-        after = draft.forward(fused)
+        after = draft.forward(feats, tokens)
         np.testing.assert_array_equal(after.logits.data, before.logits.data)
         np.testing.assert_array_equal(after.logit_feature.data, before.logit_feature.data)
         assert np.abs(after.next_feature.data - before.next_feature.data).max() > 0
 
     def test_single_path_variant_ties_outputs(self):
         _, _, draft = self._stack(variant="no_pad")
-        fused = T.Tensor(np.random.default_rng(2).normal(size=(3, 16)).astype(np.float32))
-        out = draft.forward(fused)
+        out = draft.forward(*self._inputs(2, 3))
         assert out.logit_feature is out.next_feature
 
     def test_matches_manual_layer_oracle(self):
         cfg, target, draft = self._stack(seed=11)
-        fused_np = np.random.default_rng(3).normal(size=(1, 3, 16)).astype(np.float32)
-        out = draft.forward(T.Tensor(fused_np))
+        feats, tokens = self._inputs(3, 3)
+        out = draft.forward(feats, tokens)
 
         # manual recomputation of the wide-MLP layer with explicit split
-        x = T.Tensor(fused_np)
-        bias = M.causal_bias(3, 3)
-        r = T.add(x, draft.layer.attn(draft.layer.attn_norm(x), np.arange(3), bias))
+        x = draft.connector(T.Tensor(feats), T.embedding(target.embed, tokens))
+        rope = M.rope_tables(np.arange(3), cfg.head_dim, cfg.rope_base)
+        bias = np.where(M.causal_mask(3, 3), 0.0, M.MASK_OFF)
+        r = T.add(x, draft.layer.attn(draft.layer.attn_norm(x), rope, bias))
         h = draft.layer.mlp_norm(r)
         wide = T.matmul(T.mul(T.silu(T.matmul(h, draft.layer.mlp.gate.weight)),
                               T.matmul(h, draft.layer.mlp.up.weight)),
@@ -226,10 +230,10 @@ class TestDraftModel:
 
     def test_shared_head_is_observed(self):
         _, target, draft = self._stack(seed=12)
-        fused = T.Tensor(np.random.default_rng(4).normal(size=(2, 16)).astype(np.float32))
-        before = draft.forward(fused).logits.data.copy()
+        feats, tokens = self._inputs(4, 2)
+        before = draft.forward(feats, tokens).logits.data.copy()
         target.head.weight.data[:] += 0.25
-        after = draft.forward(fused).logits.data
+        after = draft.forward(feats, tokens).logits.data
         assert np.abs(after - before).max() > 0
 
     def test_unknown_variant(self):

@@ -316,9 +316,7 @@ class TestEvalAccuracy:
                 for i in range(len(tokens) - 1):
                     if i + 1 < prompt_len:
                         continue
-                    fused = draft.fuse(T.Tensor(feats[:, : i + 1]),
-                                       T.embedding(draft.embed, tokens[None, 1: i + 2]))
-                    out = draft.forward(fused)
+                    out = draft.forward(feats[:, : i + 1], tokens[None, 1: i + 2])
                     row = out.logits.data[0, -1]
                     want = int(np.argmax(logits[0, i + 1]))
                     order = np.argsort(-row, kind="stable")

@@ -21,25 +21,20 @@ def micro_draft(seed, vocab=16, hidden=8, intermediate=12):
 class OneHotStubDraft:
     """Drop-in draft whose distribution is exactly one-hot every step."""
 
-    def __init__(self, vocab, hidden, tok):
+    def __init__(self, vocab, tok):
         self.vocab = vocab
         self.tok = tok
-        self.embed = T.Tensor(np.zeros((vocab, hidden), dtype=np.float32))
 
     def new_cache(self):
         return M.KvCache(1)
 
-    def fuse(self, feats, embeds):
-        return feats
-
-    def forward(self, fused, positions=None, attn_bias=None, cache=None):
-        n = fused.data.shape[-2]
+    def forward(self, feats, tokens, positions=None, mask=None, cache=None):
+        n = feats.shape[1]
         if cache is not None:
             cache.append(0, np.zeros((1, n, 1), np.float32), np.zeros((1, n, 1), np.float32))
         logits = np.full((1, n, self.vocab), -100.0, dtype=np.float32)
         logits[..., self.tok] = 100.0
-        feats3 = fused.data if fused.data.ndim == 3 else fused.data[None]
-        return M.DraftStepOutput(T.Tensor(feats3), T.Tensor(feats3), T.Tensor(logits))
+        return M.DraftStepOutput(T.Tensor(feats), T.Tensor(feats), T.Tensor(logits))
 
 
 def build(draft, feat, token, **kw):
@@ -62,7 +57,7 @@ class TestBuildDraftTree:
             assert n.joint_prob == pytest.approx(n.cond_prob)
 
     def test_deterministic_draft_yields_chain(self):
-        draft = OneHotStubDraft(vocab=16, hidden=8, tok=5)
+        draft = OneHotStubDraft(vocab=16, tok=5)
         feat = np.zeros(8, dtype=np.float32)
         tree = build(draft, feat, 2, depth=4, expand_k=2, select_m=2, budget=4)
         assert len(tree) == 5
@@ -120,10 +115,8 @@ class TestBuildDraftTree:
             cur = feat
             with T.no_grad():
                 for tok in chain:
-                    embeds = T.embedding(draft.embed, np.array([tok]))
-                    fused = draft.fuse(T.Tensor(cur[None]), embeds)
-                    out = draft.forward(fused, cache=cache)
-                    cur = out.next_feature.data[0]
+                    out = draft.forward(cur[None, None], [[tok]], cache=cache)
+                    cur = out.next_feature.data[0, 0]
             np.testing.assert_allclose(node.feature, cur, atol=1e-5)
 
     def test_nan_logits_rejected(self):
@@ -154,7 +147,7 @@ def random_tree(rng, n_nodes, vocab=32):
                            None if nodes[i].parent is None else remap[nodes[i].parent],
                            nodes[i].depth, nodes[i].cond_prob, nodes[i].joint_prob)
                for i in order]
-    return TR.TokenTree(rebuilt, budget=n_nodes - 1, expand_k=8, select_m=8, max_depth=32)
+    return TR.TokenTree(rebuilt)
 
 
 class TestAttentionMask:
@@ -167,7 +160,7 @@ class TestAttentionMask:
         nodes = [TR.TreeNode(1, None, 0, 1.0, 1.0),
                  TR.TreeNode(2, 0, 1, 0.5, 0.5),
                  TR.TreeNode(3, 0, 1, 0.5, 0.5)]
-        tree = TR.TokenTree(nodes, budget=2, expand_k=2, select_m=1, max_depth=1)
+        tree = TR.TokenTree(nodes)
         mask = TR.tree_attention_mask(tree, prefix_len=2)
         assert mask.shape == (3, 5)             # tree rows only, over prefix + tree keys
         for row in (1, 2):
@@ -191,7 +184,7 @@ class TestAttentionMask:
                  TR.TreeNode(2, 2, 1, 0.5, 0.5),
                  TR.TreeNode(3, 0, 1, 0.5, 0.5)]
         with pytest.raises(ContractError):
-            TR.TokenTree(nodes, budget=2, expand_k=2, select_m=1, max_depth=1)
+            TR.TokenTree(nodes)
 
 
 class TestFlatten:
@@ -206,7 +199,7 @@ class TestFlatten:
         nodes = [TR.TreeNode(1, None, 0, 1.0, 1.0),
                  TR.TreeNode(5, 0, 1, 0.5, 0.5),
                  TR.TreeNode(6, 0, 1, 0.5, 0.5)]
-        tree = TR.TokenTree(nodes, budget=2, expand_k=2, select_m=1, max_depth=1)
+        tree = TR.TokenTree(nodes)
         _, positions, _ = TR.flatten(tree, prefix_len=4)
         np.testing.assert_array_equal(positions, [4, 5, 5])
 
@@ -234,7 +227,7 @@ class TestJsonDump:
 
     def test_golden_document(self):
         # pins the debug-dump schema; the one-hot stub makes probs exact
-        draft = OneHotStubDraft(vocab=8, hidden=4, tok=3)
+        draft = OneHotStubDraft(vocab=8, tok=3)
         tree = build(draft, np.zeros(4, dtype=np.float32), 1,
                      depth=2, expand_k=1, select_m=1, budget=2)
         expected = ('{"nodes": ['
