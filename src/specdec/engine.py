@@ -202,8 +202,9 @@ class SpeculativeEngine:
     A drafter provides ``reset()``, called once per sequence;
     ``propose(committed, features)``, which returns a TokenTree rooted at
     ``committed[-1]`` given the target features of every committed
-    position but the newest; and ``passes_last``, the draft forward
-    passes that the latest proposal took.
+    position but the newest (called once at least two tokens are
+    committed); and ``passes_last``, the draft forward passes that the
+    latest proposal took.
     """
 
     def __init__(self, target, drafter):
@@ -218,8 +219,8 @@ class SpeculativeEngine:
         """
         _check_temperature(temperature)
         prompt = [int(t) for t in prompt]
-        if len(prompt) < 2:
-            raise ContractError("prompt must hold at least two tokens (lead with BOS)")
+        if not prompt:
+            raise ContractError("prompt must be nonempty")
         max_len = self.target.config.max_seq_len
         if len(prompt) >= max_len:
             raise CapacityError(f"prompt of {len(prompt)} tokens does not fit context {max_len}")
@@ -230,13 +231,19 @@ class SpeculativeEngine:
         committed = list(prompt)
         with T.no_grad():
             cache = self.target.new_cache()
-            _, feats = self.target.forward(np.array(committed[:-1]), cache=cache)
-            features = [feats.data[i] for i in range(len(committed) - 1)]
+            features = []
+            if len(committed) > 1:
+                _, feats = self.target.forward(np.array(committed[:-1]), cache=cache)
+                features = [feats.data[i] for i in range(len(committed) - 1)]
             self.drafter.reset()
 
             step = 0
             while len(committed) < stop:
-                tree = self.drafter.propose(committed, features)
+                if len(committed) < 2:  # nothing to draft from: the root alone
+                    tree, passes = chain_tree(committed), 0
+                else:
+                    tree = self.drafter.propose(committed, features)
+                    passes = self.drafter.passes_last
                 prefix = len(cache)
                 if prefix + max(n.depth for n in tree.nodes) >= max_len:
                     tree = chain_tree(committed[-1:])  # the root alone is one vanilla step
@@ -260,7 +267,7 @@ class SpeculativeEngine:
                 committed.append(result.bonus_token)
 
                 emitted_now = len(result.accepted_tokens) + 1
-                stats.record_step(len(result.accepted_tokens), len(tree), self.drafter.passes_last)
+                stats.record_step(len(result.accepted_tokens), len(tree), passes)
                 step += 1
                 if eos_id is not None and eos_id in committed[-emitted_now:]:
                     del committed[committed.index(eos_id, len(committed) - emitted_now) + 1:]

@@ -14,7 +14,12 @@ cache, the boolean visibility mask defaults to causal and becomes an
 additive bias once, and the rotary tables are built once per forward and
 handed to every layer.
 
-All inference paths are expected to run inside ``tensor.no_grad()``.
+Every forward picks its ops once (``tensor.forward_ops()``) and hands
+them to every layer with the rotary tables and the bias: the tape ops
+while gradients are recorded, and under ``tensor.no_grad()`` their own
+kernels on bare arrays, so that inference builds Tensors only for what a
+forward returns.  All inference paths are expected to run inside
+``tensor.no_grad()``.
 """
 
 from __future__ import annotations
@@ -89,16 +94,16 @@ class Linear:
     def __init__(self, rng, n_in, n_out, scale=0.02):
         self.weight = _init(rng, (n_in, n_out), scale)
 
-    def __call__(self, x):
-        return T.matmul(x, self.weight)
+    def __call__(self, x, ops=T.TAPE):
+        return ops.matmul(x, ops.leaf(self.weight))
 
 
 class RMSNorm:
     def __init__(self, size):
         self.weight = Tensor(np.ones(size, dtype=np.float32), requires_grad=True)
 
-    def __call__(self, x):
-        return T.rms_norm(x, self.weight)
+    def __call__(self, x, ops=T.TAPE):
+        return ops.rms_norm(x, ops.leaf(self.weight))
 
 
 def rope_tables(positions, head_dim, base, dtype=np.float32):
@@ -109,53 +114,88 @@ def rope_tables(positions, head_dim, base, dtype=np.float32):
     return np.cos(angles).astype(dtype), np.sin(angles).astype(dtype)
 
 
-def _apply_rope(x, cos, sin):
-    # x: (B, H, T, Dh); tables broadcast over batch and heads
-    half = x.data.shape[-1] // 2
-    x1, x2 = T.split_last(x, [half, half])
-    c = cos[None, None, :, :]
-    s = sin[None, None, :, :]
-    return T.concat_last([
-        T.sub(T.mul(x1, Tensor(c)), T.mul(x2, Tensor(s))),
-        T.add(T.mul(x2, Tensor(c)), T.mul(x1, Tensor(s))),
+def _apply_rope(x, cos, sin, ops):
+    # x: (B, H, T, Dh); the (T, Dh // 2) tables broadcast over batch and heads
+    half = x.shape[-1] // 2
+    x1, x2 = ops.split_last(x, [half, half])
+    return ops.concat_last([
+        ops.sub(ops.mul(x1, cos), ops.mul(x2, sin)),
+        ops.add(ops.mul(x2, cos), ops.mul(x1, sin)),
     ])
 
 
 class KvCache:
     """Per-layer cached keys/values for one sequence (batch 1).
 
-    Arrays have shape (n_heads, length, head_dim).  The cache covers a
-    committed prefix plus, transiently, an uncommitted tree region that
-    ``keep`` compacts away after verification.
+    Each layer keeps its rows in buffers of shape (n_heads, capacity,
+    head_dim) that ``append`` fills in place and doubles when full;
+    ``keys[i]`` / ``values[i]`` are the filled (n_heads, length, head_dim)
+    views (None before the layer's first append).  A view taken before a
+    buffer grows goes stale.  The cache covers a committed prefix plus,
+    transiently, an uncommitted tree region that ``truncate`` or ``keep``
+    compacts away after verification.
     """
 
     def __init__(self, n_layers):
-        self.keys = [None] * n_layers
-        self.values = [None] * n_layers
+        self._k = [None] * n_layers
+        self._v = [None] * n_layers
+        self._len = [0] * n_layers
+
+    @property
+    def keys(self):
+        return [None if b is None else b[:, :n] for b, n in zip(self._k, self._len)]
+
+    @property
+    def values(self):
+        return [None if b is None else b[:, :n] for b, n in zip(self._v, self._len)]
 
     def __len__(self):
-        return 0 if self.keys[0] is None else self.keys[0].shape[1]
+        return self._len[0]
 
     def append(self, layer, k, v):
-        if self.keys[layer] is None:
-            self.keys[layer] = k
-            self.values[layer] = v
-        else:
-            self.keys[layer] = np.concatenate([self.keys[layer], k], axis=1)
-            self.values[layer] = np.concatenate([self.values[layer], v], axis=1)
+        """Write (n_heads, rows, head_dim) keys and values after the layer's
+        rows; returns the layer's filled key and value views."""
+        n = self._len[layer]
+        end = n + k.shape[1]
+        for bufs, new in ((self._k, k), (self._v, v)):
+            _reserve(bufs, layer, n, end, new)[:, n:end] = new
+        self._len[layer] = end
+        return self._k[layer][:, :end], self._v[layer][:, :end]
 
     def truncate(self, length):
-        for i in range(len(self.keys)):
-            if self.keys[i] is not None:
-                self.keys[i] = self.keys[i][:, :length]
-                self.values[i] = self.values[i][:, :length]
+        self._len = [min(n, length) for n in self._len]
 
     def keep(self, indices):
-        """Compact the cache down to the given positions, in order."""
-        idx = np.asarray(indices)
-        for i in range(len(self.keys)):
-            self.keys[i] = self.keys[i][:, idx]
-            self.values[i] = self.values[i][:, idx]
+        """Compact the cache down to the given positions, in order.
+
+        Rows before the first index that is not the identity stay where
+        they are; only the rows from there on move.
+        """
+        idx = np.asarray(indices, dtype=np.intp)
+        end = len(idx)
+        if end and (idx.min() < 0 or idx.max() >= min(self._len)):
+            raise ContractError(f"cache rows to keep fall outside [0, {min(self._len)})")
+        moved = np.flatnonzero(idx != np.arange(end))
+        if moved.size:
+            start, tail = moved[0], idx[moved[0]:]
+            for layer, n in enumerate(self._len):
+                for bufs in (self._k, self._v):
+                    rows = bufs[layer][:, tail]
+                    _reserve(bufs, layer, n, end, rows)[:, start:end] = rows
+        self._len = [end] * len(self._len)
+
+
+def _reserve(bufs, layer, n, end, like):
+    """``bufs[layer]`` with room for ``end`` rows and its first ``n`` rows
+    kept; a buffer too small is replaced by one of twice ``n`` rows (at
+    least ``end``) shaped and typed after ``like`` (n_heads, rows, head_dim)."""
+    buf = bufs[layer]
+    if buf is None or end > buf.shape[1]:
+        grown = np.empty((like.shape[0], max(end, 2 * n), like.shape[2]), dtype=like.dtype)
+        if n:
+            grown[:, :n] = buf[:, :n]
+        bufs[layer] = buf = grown
+    return buf
 
 
 class Attention:
@@ -167,29 +207,28 @@ class Attention:
         self.wv = Linear(rng, c, c)
         self.wo = Linear(rng, c, c)
 
-    def __call__(self, x, rope, bias, cache=None, layer_idx=0):
-        b, t, c = x.data.shape
+    def __call__(self, x, rope, bias, cache=None, layer_idx=0, ops=T.TAPE):
+        b, t, c = x.shape
         h, dh = self.config.n_heads, self.config.head_dim
 
         def heads(z):
-            return T.transpose(T.reshape(z, (b, t, h, dh)), (0, 2, 1, 3))
+            return ops.transpose(ops.reshape(z, (b, t, h, dh)), (0, 2, 1, 3))
 
-        q = _apply_rope(heads(self.wq(x)), *rope)
-        k = _apply_rope(heads(self.wk(x)), *rope)
-        v = heads(self.wv(x))
+        q = _apply_rope(heads(self.wq(x, ops)), *rope, ops)
+        k = _apply_rope(heads(self.wk(x, ops)), *rope, ops)
+        v = heads(self.wv(x, ops))
 
         if cache is not None:
             if b != 1:
                 raise ContractError("cached attention supports batch size 1")
-            cache.append(layer_idx, k.data[0], v.data[0])
-            k = Tensor(cache.keys[layer_idx][None])
-            v = Tensor(cache.values[layer_idx][None])
+            k, v = cache.append(layer_idx, ops.value(k)[0], ops.value(v)[0])
+            k, v = ops.const(k[None]), ops.const(v[None])
 
-        scores = T.scale(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
-        scores = T.add_const(scores, bias[None, None])  # rebinding frees the unbiased scores
-        attn = T.softmax(scores, axis=-1)
-        out = T.transpose(T.matmul(attn, v), (0, 2, 1, 3))
-        return self.wo(T.reshape(out, (b, t, c)))
+        scores = ops.scale(ops.matmul(q, ops.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
+        scores = ops.add_const(scores, bias)  # rebinding frees the unbiased scores
+        attn = ops.softmax(scores, axis=-1)
+        out = ops.transpose(ops.matmul(attn, v), (0, 2, 1, 3))
+        return self.wo(ops.reshape(out, (b, t, c)), ops)
 
 
 class GatedMLP:
@@ -201,8 +240,8 @@ class GatedMLP:
         self.up = Linear(rng, c, i)
         self.down = Linear(rng, i, c * out_mult)
 
-    def __call__(self, x):
-        return self.down(T.mul(T.silu(self.gate(x)), self.up(x)))
+    def __call__(self, x, ops=T.TAPE):
+        return self.down(ops.mul(ops.silu(self.gate(x, ops)), self.up(x, ops)), ops)
 
 
 class DecoderLayer:
@@ -212,12 +251,12 @@ class DecoderLayer:
         self.mlp_norm = RMSNorm(config.hidden_size)
         self.mlp = GatedMLP(rng, config, out_mult=mlp_out_mult)
 
-    def residual_after_attention(self, x, rope, bias, cache=None, layer_idx=0):
-        return T.add(x, self.attn(self.attn_norm(x), rope, bias, cache, layer_idx))
+    def residual_after_attention(self, x, rope, bias, cache=None, layer_idx=0, ops=T.TAPE):
+        return ops.add(x, self.attn(self.attn_norm(x, ops), rope, bias, cache, layer_idx, ops))
 
-    def __call__(self, x, rope, bias, cache=None, layer_idx=0):
-        r = self.residual_after_attention(x, rope, bias, cache, layer_idx)
-        return T.add(r, self.mlp(self.mlp_norm(r)))
+    def __call__(self, x, rope, bias, cache=None, layer_idx=0, ops=T.TAPE):
+        r = self.residual_after_attention(x, rope, bias, cache, layer_idx, ops)
+        return ops.add(r, self.mlp(self.mlp_norm(r, ops), ops))
 
     def named_tensors(self, prefix):
         parts = {"attn_norm": self.attn_norm, "attn.wq": self.attn.wq, "attn.wk": self.attn.wk,
@@ -240,7 +279,7 @@ def _preamble(config, x, positions, mask, cache):
     ``positions`` default to following the cache and ``mask``, a boolean
     (T, cached + T) visibility, to causal.
     """
-    t = x.data.shape[1]
+    t = x.shape[1]
     past = len(cache) if cache is not None else 0
     positions = np.arange(past, past + t) if positions is None else np.asarray(positions)
     if positions.max(initial=0) >= config.max_seq_len:
@@ -278,22 +317,28 @@ class TargetModel:
         Returns (logits, features), each with the batch layout of the
         input.
         """
+        ops = T.forward_ops()
         tokens = np.asarray(tokens)
         squeeze = tokens.ndim == 1
         if squeeze:
             tokens = tokens[None]
-        features = T.embedding(self.embed, tokens)
+        features = ops.embedding(ops.leaf(self.embed), tokens)
         rope, bias = _preamble(self.config, features, positions, mask, cache)
         for i, layer in enumerate(self.layers):
-            features = layer(features, rope, bias, cache, i)
-        logits = self.head(self.final_norm(features))
+            features = layer(features, rope, bias, cache, i, ops)
+        logits = self._logits(features, ops)
         if squeeze:
-            return T.reshape(logits, logits.data.shape[1:]), T.reshape(features, features.data.shape[1:])
-        return logits, features
+            logits = ops.reshape(logits, logits.shape[1:])
+            features = ops.reshape(features, features.shape[1:])
+        return ops.result(logits), ops.result(features)
 
     def logits_from_features(self, features):
-        """Head applied to a feature sequence (teacher supervision path)."""
-        return self.head(self.final_norm(features))
+        """Head applied to a feature Tensor (teacher supervision path)."""
+        ops = T.forward_ops()
+        return ops.result(self._logits(ops.leaf(features), ops))
+
+    def _logits(self, features, ops):
+        return self.head(self.final_norm(features, ops), ops)
 
     def new_cache(self):
         return KvCache(self.config.n_layers)
@@ -330,9 +375,9 @@ class FeatureSampler:
         self.gate = Linear(rng, c, i)
         self.down = Linear(rng, i, c)
 
-    def __call__(self, feats, embeds):
-        sampled = T.mul(T.silu(self.gate(embeds)), self.up(feats))
-        return T.add(feats, self.down(sampled))
+    def __call__(self, feats, embeds, ops=T.TAPE):
+        sampled = ops.mul(ops.silu(self.gate(embeds, ops)), self.up(feats, ops))
+        return ops.add(feats, self.down(sampled, ops))
 
     def named_tensors(self):
         return {"connector.up.weight": self.up.weight,
@@ -350,8 +395,9 @@ class LinearCombiner:
         self.weight = _init(rng, (2 * c, c))
         self.bias = Tensor(np.zeros(c, dtype=np.float32), requires_grad=True)
 
-    def __call__(self, feats, embeds):
-        return T.add(T.matmul(T.concat_last([feats, embeds]), self.weight), self.bias)
+    def __call__(self, feats, embeds, ops=T.TAPE):
+        return ops.add(ops.matmul(ops.concat_last([feats, embeds]), ops.leaf(self.weight)),
+                       ops.leaf(self.bias))
 
     def named_tensors(self):
         return {"connector.weight": self.weight, "connector.bias": self.bias}
@@ -407,24 +453,27 @@ class DraftModel:
         and ``tokens`` the (B, T) ids whose embeddings the connector fuses
         into them, row by row.  Outputs are (B, T, ...).
         """
-        feats, tokens = T.Tensor(feats), np.asarray(tokens)
-        if tokens.ndim != 2 or feats.data.shape != tokens.shape + (self.config.hidden_size,):
+        ops = T.forward_ops()
+        feats, tokens = ops.const(feats), np.asarray(tokens)
+        if tokens.ndim != 2 or feats.shape != tokens.shape + (self.config.hidden_size,):
             raise DimensionError(
-                f"features {feats.data.shape} do not match tokens {tokens.shape} "
+                f"features {feats.shape} do not match tokens {tokens.shape} "
                 f"and hidden size {self.config.hidden_size}"
             )
-        fused = self.connector(feats, T.embedding(self.target.embed, tokens))
+        fused = self.connector(feats, ops.embedding(ops.leaf(self.target.embed), tokens), ops)
         rope, bias = _preamble(self.config, fused, positions, mask, cache)
-        r = self.layer.residual_after_attention(fused, rope, bias, cache, 0)
-        m = self.layer.mlp(self.layer.mlp_norm(r))
+        r = self.layer.residual_after_attention(fused, rope, bias, cache, 0, ops)
+        m = self.layer.mlp(self.layer.mlp_norm(r, ops), ops)
         if self.dual_path:
-            m_logit, m_auto = T.split_last(m, [self.config.hidden_size] * 2)
-            logit_feature = T.add(r, m_logit)
-            next_feature = T.add(r, m_auto)
+            m_logit, m_auto = ops.split_last(m, [self.config.hidden_size] * 2)
+            logit_feature, next_feature = ops.add(r, m_logit), ops.add(r, m_auto)
         else:
-            logit_feature = next_feature = T.add(r, m)
-        return DraftStepOutput(logit_feature, next_feature,
-                               self.target.logits_from_features(logit_feature))
+            logit_feature = next_feature = ops.add(r, m)
+        logits = ops.result(self.target._logits(logit_feature, ops))
+        logit_out = ops.result(logit_feature)
+        # a single-path draft returns one Tensor in both roles
+        next_out = ops.result(next_feature) if self.dual_path else logit_out
+        return DraftStepOutput(logit_out, next_out, logits)
 
     def new_cache(self):
         return KvCache(1)

@@ -6,12 +6,23 @@ to the storage dtype.  Differentiable ops append an entry to a global
 tape; ``backward`` replays the tape once, in reverse recorded order.
 The tape is rebuilt from scratch every training step, and inference code
 runs inside ``no_grad()`` so the tape stays empty.
+
+Each forward op is a private kernel (arrays in, an array out, with the
+op's shape, range and NaN checks and its float64 accumulation; for
+``add``, ``sub`` and ``mul`` the numpy ufunc itself) and a public tape op
+that computes its value with the kernel and records the backward pass.
+``forward_ops()`` hands a model forward either the tape ops (``TAPE``)
+or, under ``no_grad``, the kernels themselves (``KERNELS``), so inference
+builds no Tensor below the forward boundary and its values are
+bit-identical to the tape's.
 """
 
 from __future__ import annotations
 
+import sys
 import warnings
 from contextlib import contextmanager
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -28,10 +39,7 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad")
 
     def __init__(self, data, requires_grad=False, dtype=None):
-        arr = np.asarray(data, dtype=dtype)
-        if arr.dtype not in (np.float32, np.float64):
-            arr = arr.astype(np.float32)
-        self.data = arr
+        self.data = _float_array(data, dtype)
         self.requires_grad = bool(requires_grad)
         self.grad = None
 
@@ -79,6 +87,14 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
+
+
+def _float_array(data, dtype=None):
+    """``data`` as a float32 or float64 array; other dtypes become float32."""
+    arr = np.asarray(data, dtype=dtype)
+    if arr.dtype not in (np.float32, np.float64):
+        arr = arr.astype(np.float32)
+    return arr
 
 
 class _TapeEntry:
@@ -174,6 +190,22 @@ def _unbroadcast(g, shape):
 # elementwise ops
 
 
+def _scale(a, s):
+    return a * float(s)
+
+
+def _add_const(a, c):
+    return a + np.asarray(c).astype(a.dtype, copy=False)
+
+
+def _sigmoid(x):
+    return 1.0 / (1.0 + np.exp(-x))
+
+
+def _silu(x):
+    return x * _sigmoid(x)
+
+
 def add(a, b):
     a = _as_tensor(a)
     b = _as_tensor(b, like=a)
@@ -218,7 +250,7 @@ def mul(a, b):
 
 def scale(a, s):
     s = float(s)
-    out = Tensor(a.data * s)
+    out = Tensor(_scale(a.data, s))
 
     def bw(g):
         return (g * s,)
@@ -228,8 +260,7 @@ def scale(a, s):
 
 def add_const(a, c):
     """Add a constant array (no gradient flows into ``c``)."""
-    c = np.asarray(c)
-    out = Tensor(a.data + c.astype(a.dtype, copy=False))
+    out = Tensor(_add_const(a.data, c))
 
     def bw(g):
         return (_unbroadcast(g, a.data.shape).astype(a.dtype),)
@@ -238,8 +269,8 @@ def add_const(a, c):
 
 
 def silu(x):
-    s = 1.0 / (1.0 + np.exp(-x.data))
-    out = Tensor(x.data * s)
+    s = _sigmoid(x.data)  # kept for the backward pass
+    out = Tensor(x.data * s)  # _silu(x.data), without computing s twice
 
     def bw(g):
         return (g * (s * (1.0 + x.data * (1.0 - s))),)
@@ -251,8 +282,30 @@ def silu(x):
 # shape ops
 
 
+def _reshape(x, shape):
+    return x.reshape(shape)
+
+
+def _transpose(x, axes):
+    return x.transpose(axes)
+
+
+def _concat_last(arrays):
+    return np.concatenate(arrays, axis=-1)
+
+
+def _split_last(x, sizes):
+    if sum(sizes) != x.shape[-1]:
+        raise DimensionError(f"split sizes {sizes} do not cover last axis {x.shape[-1]}")
+    pieces, lo = [], 0
+    for n in sizes:
+        pieces.append(x[..., lo: lo + n])
+        lo += n
+    return pieces
+
+
 def reshape(x, shape):
-    out = Tensor(x.data.reshape(shape))
+    out = Tensor(_reshape(x.data, shape))
 
     def bw(g):
         return (g.reshape(x.data.shape),)
@@ -263,7 +316,7 @@ def reshape(x, shape):
 def transpose(x, axes):
     axes = tuple(axes)
     inv = tuple(np.argsort(axes))
-    out = Tensor(x.data.transpose(axes))
+    out = Tensor(_transpose(x.data, axes))
 
     def bw(g):
         return (g.transpose(inv),)
@@ -274,7 +327,7 @@ def transpose(x, axes):
 def concat_last(tensors):
     """Concatenate along the last axis."""
     datas = [t.data for t in tensors]
-    out = Tensor(np.concatenate(datas, axis=-1))
+    out = Tensor(_concat_last(datas))
     sizes = [d.shape[-1] for d in datas]
     offsets = np.cumsum([0] + sizes)
 
@@ -286,20 +339,17 @@ def concat_last(tensors):
 
 def split_last(x, sizes):
     """Split along the last axis into chunks of the given sizes."""
-    if sum(sizes) != x.data.shape[-1]:
-        raise DimensionError(f"split sizes {sizes} do not cover last axis {x.data.shape[-1]}")
-    offsets = np.cumsum([0] + list(sizes))
-    outs = []
-    for i in range(len(sizes)):
-        lo, hi = offsets[i], offsets[i + 1]
-        piece = Tensor(x.data[..., lo:hi])
+    outs, lo = [], 0
+    for piece in _split_last(x.data, sizes):
+        hi = lo + piece.shape[-1]
 
         def bw(g, lo=lo, hi=hi):
             full = np.zeros_like(x.data)
             full[..., lo:hi] = g
             return (full,)
 
-        outs.append(_record(piece, (x,), bw))
+        outs.append(_record(Tensor(piece), (x,), bw))
+        lo = hi
     return outs
 
 
@@ -307,13 +357,24 @@ def split_last(x, sizes):
 # matmul / lookup
 
 
+def _matmul(a, b):
+    if a.ndim < 2 or b.ndim < 2:
+        raise DimensionError(f"matmul needs rank >= 2 operands, got {a.shape} and {b.shape}")
+    if a.shape[-1] != b.shape[-2]:
+        raise DimensionError(f"matmul inner dimensions disagree: {a.shape} x {b.shape}")
+    return np.matmul(a, b)
+
+
+def _embedding(table, ids):
+    ids = np.asarray(ids)
+    if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
+        raise IndexError(f"token id out of range [0, {table.shape[0]})")
+    return table[ids]
+
+
 def matmul(a, b):
     """Matrix product; rank 2 or batched rank 3 with broadcasting."""
-    if a.data.ndim < 2 or b.data.ndim < 2:
-        raise DimensionError(f"matmul needs rank >= 2 operands, got {a.data.shape} and {b.data.shape}")
-    if a.data.shape[-1] != b.data.shape[-2]:
-        raise DimensionError(f"matmul inner dimensions disagree: {a.data.shape} x {b.data.shape}")
-    out = Tensor(np.matmul(a.data, b.data))
+    out = Tensor(_matmul(a.data, b.data))
 
     def bw(g):
         ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
@@ -329,9 +390,7 @@ def matmul(a, b):
 def embedding(table, ids):
     """Row lookup: out[..., :] = table[ids[...]]."""
     ids = np.asarray(ids)
-    if ids.size and (ids.min() < 0 or ids.max() >= table.data.shape[0]):
-        raise IndexError(f"token id out of range [0, {table.data.shape[0]})")
-    out = Tensor(table.data[ids])
+    out = Tensor(_embedding(table.data, ids))
 
     def bw(g):
         gt = np.zeros_like(table.data)
@@ -364,12 +423,28 @@ def mean_all(x):
     return _record(out, (x,), bw)
 
 
+def _rms_inv(x, eps):
+    # the sum and division np.mean does, without its Python-level wrapper
+    ms = np.square(x, dtype=np.float64).sum(axis=-1, keepdims=True) / x.shape[-1]
+    return (1.0 / np.sqrt(ms + eps)).astype(x.dtype)
+
+
+def _rms_norm(x, weight, eps=1e-5):
+    return x * _rms_inv(x, eps) * weight
+
+
+def _softmax(x, axis=-1):
+    if np.isnan(x).any():
+        raise NumericError("softmax input contains NaN")
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    return (e / e.sum(axis=axis, keepdims=True, dtype=np.float64)).astype(x.dtype)
+
+
 def rms_norm(x, weight, eps=1e-5):
     """Root-mean-square normalization over the last axis."""
-    ms = np.mean(np.square(x.data, dtype=np.float64), axis=-1, keepdims=True)
-    inv = (1.0 / np.sqrt(ms + eps)).astype(x.dtype)
+    inv = _rms_inv(x.data, eps)  # kept for the backward pass
     normed = x.data * inv
-    out = Tensor(normed * weight.data)
+    out = Tensor(normed * weight.data)  # _rms_norm(x.data, weight.data, eps), reusing inv
     n = x.data.shape[-1]
 
     def bw(g):
@@ -385,12 +460,7 @@ def rms_norm(x, weight, eps=1e-5):
 
 def softmax(x, axis=-1):
     """Numerically stable softmax; rows sum to 1 within 1e-6."""
-    if np.isnan(x.data).any():
-        raise NumericError("softmax input contains NaN")
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    denom = e.sum(axis=axis, keepdims=True, dtype=np.float64)
-    out = Tensor((e / denom).astype(x.dtype))
+    out = Tensor(_softmax(x.data, axis))
 
     def bw(g):
         y = out.data
@@ -513,6 +583,42 @@ def smooth_l1(a, b, mask=None):
         return (ga, -ga)
 
     return _record(out, (a, b), bw)
+
+
+# ---------------------------------------------------------------------------
+# forward ops: one model code path, on the tape or on bare arrays
+
+
+class _TapeOps:
+    """The tape ops over Tensors.  Ops are looked up on the module when
+    called, so a wrapped module function is the one that runs.
+
+    Besides the ops, both op sets carry four adapters: ``leaf`` takes a
+    Tensor (a parameter or a caller's tensor) in, ``const`` an outside
+    array, ``value`` gives an operand's array and ``result`` the Tensor a
+    forward returns.
+    """
+
+    leaf = result = staticmethod(lambda x: x)
+    const = Tensor
+    value = staticmethod(lambda x: x.data)
+
+    def __getattr__(self, name):
+        return getattr(sys.modules[__name__], name)
+
+
+TAPE = _TapeOps()
+KERNELS = SimpleNamespace(
+    add=np.add, sub=np.subtract, mul=np.multiply, scale=_scale, add_const=_add_const, silu=_silu,
+    reshape=_reshape, transpose=_transpose, concat_last=_concat_last, split_last=_split_last,
+    matmul=_matmul, embedding=_embedding, rms_norm=_rms_norm, softmax=_softmax,
+    leaf=lambda t: t.data, const=_float_array, value=lambda x: x, result=Tensor)
+
+
+def forward_ops():
+    """The ops a model forward computes with: ``TAPE`` while the tape
+    records, else ``KERNELS``, the tape ops' own kernels on bare arrays."""
+    return TAPE if _GRAD_ENABLED else KERNELS
 
 
 # ---------------------------------------------------------------------------

@@ -318,7 +318,8 @@ class TestProgressAndCapacity:
 
 
 class TestContextEdge:
-    """Against vanilla at every prompt length up to a full context."""
+    """Against vanilla at every prompt length, from one token up to a full
+    context."""
 
     PRESETS = (dict(depth=1, expand_k=1, select_m=1, budget=1),
                dict(depth=3, expand_k=3, select_m=2, budget=6),
@@ -332,7 +333,7 @@ class TestContextEdge:
                                          layers=int(rng.integers(1, 3)), max_seq=max_seq)
         for preset in self.PRESETS:
             engine = E.SpeculativeEngine(target, E.ModelDrafter(draft, **preset))
-            for length in range(2, max_seq + 1):
+            for length in range(1, max_seq + 1):
                 prompt = rng.integers(0, cfg.vocab_size, size=length).tolist()
                 if length == max_seq:
                     with pytest.raises(CapacityError):

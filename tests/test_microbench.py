@@ -1,0 +1,67 @@
+"""Micro-benchmarks of the inference hot paths on a toy-size stack (hidden
+128, 4 layers, vocab 512, random weights), with pytest-benchmark.
+
+They assert nothing about time: a few rounds each keep the tier-1 run
+short, and the table pytest-benchmark prints is the record.  For steadier
+figures, run this file alone with ``OPENBLAS_NUM_THREADS=1`` and raise
+``rounds``.
+"""
+
+import numpy as np
+import pytest
+
+from specdec import model as M
+from specdec import tensor as T
+from specdec.bench import DraftingConfig
+from specdec.tree import build_draft_tree
+
+PREFIX = 30  # cached rows in front of the timed target forward
+
+
+@pytest.fixture(scope="module")
+def stack():
+    config = M.ModelConfig()
+    target = M.TargetModel(config, seed=0)
+    return config, target, M.DraftModel(config, target, seed=1)
+
+
+@pytest.fixture(autouse=True)
+def inference_mode():
+    with T.no_grad():
+        yield
+
+
+@pytest.mark.parametrize("rows", [1, 8, 61])
+def test_target_forward_against_cache(benchmark, stack, rows):
+    config, target, _ = stack
+    rng = np.random.default_rng(rows)
+    prefix = rng.integers(0, config.vocab_size, size=PREFIX)
+    tokens = rng.integers(0, config.vocab_size, size=rows)
+
+    def cached():
+        cache = target.new_cache()
+        target.forward(prefix, cache=cache)
+        return (tokens,), {"cache": cache}
+
+    logits, _ = benchmark.pedantic(target.forward, setup=cached, rounds=20)
+    assert logits.shape == (rows, config.vocab_size)
+
+
+def test_draft_forward_8_rows(benchmark, stack):
+    config, _, draft = stack
+    rng = np.random.default_rng(8)
+    feats = rng.normal(size=(1, 8, config.hidden_size)).astype(np.float32)
+    tokens = rng.integers(0, config.vocab_size, size=(1, 8))
+    out = benchmark.pedantic(draft.forward, args=(feats, tokens), rounds=20)
+    assert out.logits.shape == (1, 8, config.vocab_size)
+
+
+def test_build_draft_tree_default_preset(benchmark, stack):
+    config, _, draft = stack
+    preset = DraftingConfig()
+    feature = np.random.default_rng(9).normal(size=config.hidden_size).astype(np.float32)
+    kw = dict(depth=preset.depth, expand_k=preset.expand_k, select_m=preset.select_m,
+              budget=preset.budget)
+    tree, passes = benchmark.pedantic(build_draft_tree, args=(draft, feature, 5), kwargs=kw,
+                                      rounds=5)
+    assert len(tree) == preset.budget + 1 and passes == preset.depth
