@@ -26,15 +26,14 @@ with T.no_grad():
 
 print(f"built a tree of {tree.num_candidates} candidates "
       f"in {passes} draft forward passes\n")
-for i, node in enumerate(tree.nodes):
-    pad = "  " * node.depth
-    print(f"{pad}[{i}] token={node.token:<3} cond={node.cond_prob:.3f} "
-          f"joint={node.joint_prob:.3f}")
+# the tree is a set of parallel arrays, one entry per node, root first
+for i in range(len(tree)):
+    pad = "  " * tree.depths[i]
+    print(f"{pad}[{i}] token={tree.tokens[i]:<3} parent={tree.parents[i]:<3} "
+          f"cond={tree.cond_probs[i]:.3f} joint={tree.joint_probs[i]:.3f}")
 
 # every child ranks at or below its parent, so the best-N cut is a valid tree
-joints = [n.joint_prob for n in tree.nodes]
-assert all(joints[n.parent] >= j for n, j in
-           [(tree.nodes[i], joints[i]) for i in range(1, len(tree))])
+assert (tree.joint_probs[1:] <= tree.joint_probs[tree.parents[1:]]).all()
 
 # flattening: one row per node, position = prefix length + depth
 tokens, positions, parents = flatten(tree, prefix_len=10)

@@ -60,20 +60,16 @@ def verify_greedy(tree, node_logits):
     ``node_logits[i]`` are the target logits at tree node i's position;
     row 0 is the committed-context (root) row.
     """
-    path, tokens = [], []
-    cur = 0
-    while True:
-        want = int(np.argmax(node_logits[cur]))
-        step = None
-        for child in tree.children(cur):
-            if tree.nodes[child].token == want:
-                step = child
-                break
-        if step is None:
-            return VerifyResult(path, tokens, want)
-        path.append(step)
-        tokens.append(want)
-        cur = step
+    tokens = tree.tokens.tolist()
+
+    def judge(node, children):
+        want = int(np.argmax(node_logits[node]))
+        for child in children:
+            if tokens[child] == want:
+                return child, want
+        return None, want
+
+    return _walk(tree, judge)
 
 
 def verify_stochastic(tree, node_probs, rng):
@@ -84,33 +80,49 @@ def verify_stochastic(tree, node_probs, rng):
     conditional probability; the emitted-token law does not depend on
     that order.
     """
-    path, tokens = [], []
-    cur = 0
-    while True:
-        p = node_probs[cur].astype(np.float64).copy()
-        accepted = None
-        children = sorted(tree.children(cur),
-                          key=lambda i: (-tree.nodes[i].cond_prob, tree.nodes[i].token))
+    tokens, cond = tree.tokens.tolist(), tree.cond_probs.tolist()
+
+    def judge(node, children):
+        p = node_probs[node].astype(np.float64)
         for child in children:
-            node = tree.nodes[child]
-            if node.cond_prob <= 0.0:
-                raise ContractError(
-                    f"drafted child token {node.token} carries zero draft probability"
-                )
-            mass = p[node.token]
-            if rng.random() < mass:
-                accepted = child
-                break
-            p[node.token] = 0.0
+            tok = tokens[child]
+            if cond[child] <= 0.0:
+                raise ContractError(f"drafted child token {tok} carries zero draft probability")
+            if rng.random() < p[tok]:
+                return child, tok
+            p[tok] = 0.0
             total = p.sum()
             if total <= 0.0:
                 raise NumericError("residual distribution vanished during verification")
             p /= total
-        if accepted is None:
-            return VerifyResult(path, tokens, _sample(p, rng))
-        path.append(accepted)
-        tokens.append(tree.nodes[accepted].token)
-        cur = accepted
+        return None, _sample(p, rng)
+
+    return _walk(tree, judge)
+
+
+def _walk(tree, judge):
+    """The acceptance walk both verifiers share.
+
+    From the root, ``judge(node, children)`` gets the node's children in
+    sibling order (``TokenTree.siblings``) and returns (accepted child,
+    its token) or (None, bonus token), which ends the walk.
+    """
+    first, nxt = tree.siblings
+    path, tokens = [], []
+    node = 0
+    while True:
+        child, token = judge(node, _children(first[node], nxt))
+        if child is None:
+            return VerifyResult(path, tokens, token)
+        path.append(child)
+        tokens.append(token)
+        node = child
+
+
+def _children(child, nxt):
+    while child >= 0:
+        yield child
+        child = nxt[child]
 
 
 class GenerationStats:
@@ -149,10 +161,10 @@ class GenerationStats:
 class ModelDrafter:
     """Standard drafter: feature-level draft model with its own KV cache.
 
-    The cache holds one row per fused input; rows for committed
-    positions are rebuilt from the target's true features, so the only
-    speculative rows are the in-flight tree's, which are dropped after
-    each proposal.
+    The cache holds one row per fused input, built from the target's true
+    features for committed positions.  The committed rows it still lacks
+    ride along in the root's forward pass; the in-flight tree's rows are
+    the only speculative ones and are dropped after each proposal.
     """
 
     def __init__(self, draft, depth=5, expand_k=8, select_m=8, budget=60):
@@ -166,33 +178,23 @@ class ModelDrafter:
 
     def reset(self):
         self.cache = self.draft.new_cache()
-        self.synced = 0
-
-    def _sync(self, committed, features):
-        """Bring the cache up to one fused row short of the root row."""
-        upto = len(committed) - 2
-        if upto <= self.synced:
-            return 0
-        # the cache holds ``synced`` rows, so the default positions and causal mask fit
-        self.draft.forward(np.stack(features[self.synced:upto])[None],
-                           [committed[self.synced + 1:upto + 1]], cache=self.cache)
-        self.synced = upto
-        return 1
 
     def propose(self, committed, features):
         if len(committed) < 2:
             raise ContractError("drafting needs at least two committed tokens")
-        passes = self._sync(committed, features)
+        root = len(committed) - 2  # the root row fuses features[root] with committed[-1]
+        have = len(self.cache)
+        sync = None
+        if root > have:
+            sync = (np.stack(features[have:root]), committed[have + 1:root + 1])
         # the deepest node sits at position len(committed) - 1 + depth
         depth = min(self.depth, self.draft.config.max_seq_len - len(committed))
-        tree, tree_passes = build_draft_tree(
-            self.draft, features[len(committed) - 2], committed[-1],
+        tree, self.passes_last = build_draft_tree(
+            self.draft, features[root], committed[-1],
             depth=depth, expand_k=self.expand_k, select_m=self.select_m,
-            budget=self.budget, cache=self.cache, prefix_len=self.synced)
-        # keep only the root row (a true committed pair); drop speculative rows
-        self.cache.truncate(self.synced + 1)
-        self.synced += 1
-        self.passes_last = passes + tree_passes
+            budget=self.budget, cache=self.cache, sync=sync)
+        # keep the committed rows up to the root row (a true committed pair)
+        self.cache.truncate(root + 1)
         return tree
 
 
@@ -203,8 +205,8 @@ class SpeculativeEngine:
     ``propose(committed, features)``, which returns a TokenTree rooted at
     ``committed[-1]`` given the target features of every committed
     position but the newest (called once at least two tokens are
-    committed); and ``passes_last``, the draft forward passes that the
-    latest proposal took.
+    committed; a tree rooted elsewhere raises ``ContractError``); and
+    ``passes_last``, the draft forward passes that the latest proposal took.
     """
 
     def __init__(self, target, drafter):
@@ -244,8 +246,11 @@ class SpeculativeEngine:
                 else:
                     tree = self.drafter.propose(committed, features)
                     passes = self.drafter.passes_last
+                    if tree.tokens[0] != committed[-1]:
+                        raise ContractError(f"drafted tree is rooted at token {tree.tokens[0]}, "
+                                            f"not at the newest committed {committed[-1]}")
                 prefix = len(cache)
-                if prefix + max(n.depth for n in tree.nodes) >= max_len:
+                if prefix + tree.depths.max() >= max_len:
                     tree = chain_tree(committed[-1:])  # the root alone is one vanilla step
                 tokens, positions, _ = flatten(tree, prefix)
                 logits, node_feats = self.target.forward(

@@ -434,9 +434,10 @@ def _rms_norm(x, weight, eps=1e-5):
 
 
 def _softmax(x, axis=-1):
-    if np.isnan(x).any():
+    top = x.max(axis=axis, keepdims=True)
+    if np.isnan(top).any():  # the max of a row holding a NaN is NaN
         raise NumericError("softmax input contains NaN")
-    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    e = np.exp(x - top)
     return (e / e.sum(axis=axis, keepdims=True, dtype=np.float64)).astype(x.dtype)
 
 

@@ -10,6 +10,11 @@ ancestor-closed.
 
 Ordering ties are broken by (shallower depth, smaller token id, creation
 order), which keeps runs bit-reproducible.
+
+The pool and the resulting ``TokenTree`` are parallel numpy arrays, one
+entry per node with the root at index 0: token ids, parent indices (-1 at
+the root), depths, float64 conditional and joint draft probabilities, and
+the draft's carry features.
 """
 
 from __future__ import annotations
@@ -19,85 +24,98 @@ import json
 import numpy as np
 
 from . import tensor as T
-from .errors import ContractError, NumericError
-
-
-class TreeNode:
-    __slots__ = ("token", "parent", "depth", "cond_prob", "joint_prob", "feature")
-
-    def __init__(self, token, parent, depth, cond_prob, joint_prob, feature=None):
-        self.token = int(token)
-        self.parent = parent  # index into the flattened node list, None for root
-        self.depth = int(depth)
-        self.cond_prob = float(cond_prob)
-        self.joint_prob = float(joint_prob)
-        self.feature = feature  # draft carry feature, set once this node is expanded
-
-    def to_dict(self):
-        return {"token": self.token, "parent": self.parent, "depth": self.depth,
-                "cond_prob": self.cond_prob, "joint_prob": self.joint_prob}
+from .errors import ContractError
 
 
 class TokenTree:
-    """Root plus candidate nodes, parents before children."""
+    """Root plus candidate nodes as parallel arrays, parents before children.
 
-    def __init__(self, nodes):
-        self.nodes = nodes
-        self._validate()
+    ``parents`` is -1 at the root; ``cond_probs`` and ``joint_probs`` (draft
+    probabilities, float64) default to 1.  ``features`` is (n, hidden) with
+    a NaN row for every node the draft never expanded, or None.
+    """
 
-    def _validate(self):
-        if not self.nodes or self.nodes[0].parent is not None or self.nodes[0].depth != 0:
-            raise ContractError("tree must start with a depth-0 root")
-        for i, node in enumerate(self.nodes[1:], start=1):
-            p = node.parent
-            if p is None or p >= i:
-                raise ContractError(f"node {i} is not in topological order (parent {p})")
-            parent = self.nodes[p]
-            if node.depth != parent.depth + 1:
-                raise ContractError(f"node {i} depth {node.depth} != parent depth + 1")
+    def __init__(self, tokens, parents, depths, cond_probs=None, joint_probs=None,
+                 features=None):
+        self.tokens = np.asarray(tokens, dtype=np.int64)
+        self.parents = np.asarray(parents, dtype=np.int64)
+        self.depths = np.asarray(depths, dtype=np.int64)
+        n = len(self.tokens)
+        if (n == 0 or self.parents.shape != (n,) or self.depths.shape != (n,)
+                or self.parents[0] != -1 or self.depths[0] != 0):
+            raise ContractError("tree must start with a depth-0 root, one entry per node")
+        bad = (self.parents[1:] < 0) | (self.parents[1:] >= np.arange(1, n))
+        if bad.any():
+            i = int(bad.argmax()) + 1
+            raise ContractError(f"node {i} is not in topological order (parent {self.parents[i]})")
+        wrong = self.depths[1:] != self.depths[self.parents[1:]] + 1
+        if wrong.any():
+            i = int(wrong.argmax()) + 1
+            raise ContractError(f"node {i} depth {self.depths[i]} != parent depth + 1")
+        self.cond_probs = np.ones(n) if cond_probs is None else np.asarray(cond_probs, np.float64)
+        self.joint_probs = (np.ones(n) if joint_probs is None
+                            else np.asarray(joint_probs, np.float64))
+        self.features = features
+        self._siblings = None
 
     def __len__(self):
-        return len(self.nodes)
+        return len(self.tokens)
 
     @property
     def num_candidates(self):
-        return len(self.nodes) - 1
+        return len(self.tokens) - 1
 
-    def children(self, idx):
-        return [i for i, n in enumerate(self.nodes) if n.parent == idx]
+    @property
+    def siblings(self):
+        """(first_child, next_sibling) index lists, -1 where there is none.
 
-    def ancestors(self, idx):
-        """Indices on the root path of ``idx``, excluding ``idx`` itself."""
-        out = []
-        p = self.nodes[idx].parent
-        while p is not None:
-            out.append(p)
-            p = self.nodes[p].parent
-        return out[::-1]
+        Each node's children are chained in descending conditional
+        probability, then ascending token id, then index.
+        """
+        if self._siblings is None:
+            n = len(self.tokens)
+            first, nxt, last = [-1] * n, [-1] * n, [-1] * n
+            parents = self.parents.tolist()
+            # a stable sort, parents first; the root (parent -1) sorts first
+            for i in np.lexsort((self.tokens, -self.cond_probs, self.parents))[1:].tolist():
+                p = parents[i]
+                if last[p] < 0:
+                    first[p] = i
+                else:
+                    nxt[last[p]] = i
+                last[p] = i
+            self._siblings = first, nxt
+        return self._siblings
 
     def to_json(self):
-        return json.dumps({"nodes": [n.to_dict() for n in self.nodes]}, sort_keys=True)
+        parents = self.parents.tolist()
+        parents[0] = None
+        nodes = [{"token": t, "parent": p, "depth": d, "cond_prob": c, "joint_prob": j}
+                 for t, p, d, c, j in zip(self.tokens.tolist(), parents, self.depths.tolist(),
+                                          self.cond_probs.tolist(), self.joint_probs.tolist())]
+        return json.dumps({"nodes": nodes}, sort_keys=True)
 
     @classmethod
     def from_json(cls, text):
         raw = json.loads(text)["nodes"]
-        return cls([TreeNode(r["token"], r["parent"], r["depth"], r["cond_prob"], r["joint_prob"])
-                    for r in raw])
-
-
-def rank_key(node, idx):
-    """Global candidate ordering: joint desc, then shallow, then token id."""
-    return (-node.joint_prob, node.depth, node.token, idx)
+        return cls([r["token"] for r in raw],
+                   [-1 if r["parent"] is None else r["parent"] for r in raw],
+                   [r["depth"] for r in raw], [r["cond_prob"] for r in raw],
+                   [r["joint_prob"] for r in raw])
 
 
 def build_draft_tree(draft, root_feature, root_token, *, depth, expand_k, select_m,
-                     budget, cache=None, prefix_len=None):
+                     budget, cache=None, sync=None):
     """Expand a candidate token tree from the last committed position.
 
     ``root_feature`` is the target feature at the last position the
     target has processed; ``root_token`` is the newest committed token
     (not yet seen by the target).  The draft's own cache gains one row
     per processed node; the caller truncates it back after use.
+
+    ``sync=(features, tokens)`` holds committed draft rows the cache still
+    lacks, the rows just before the root: they go through the root's own
+    causal forward pass and stay in the cache in front of the root row.
 
     Returns (tree, draft_forward_passes).
     """
@@ -109,69 +127,95 @@ def build_draft_tree(draft, root_feature, root_token, *, depth, expand_k, select
         raise ContractError("expand_k and select_m must be >= 1")
     if cache is None:
         cache = draft.new_cache()
-    if prefix_len is None:
-        prefix_len = len(cache)
 
-    root = TreeNode(root_token, None, 0, 1.0, 1.0)
-    pool = [root]            # pool[0] is the root; candidates follow
-    row_of = np.full(1 + depth * select_m * expand_k, -1)  # pool index -> draft cache row
-    probs_of = {}            # pool index -> draft conditional distribution
-    passes = 0
+    # the root pass: the sync rows and the root row, one causal forward
+    feats, ids = root_feature[None], [root_token]
+    if sync is not None:
+        feats, ids = np.concatenate([sync[0], feats]), list(sync[1]) + ids
+    out = draft.forward(feats[None], [ids], cache=cache)
+    prefix = len(cache) - 1   # the root's row and position; every key before it is committed
+    passes = 1
 
-    def process(indices):
-        """Run the draft over the fused rows of the given pool nodes."""
-        nonlocal passes
-        n = len(indices)
-        feats = np.stack([
-            root_feature if pool[i].parent is None else pool[pool[i].parent].feature
-            for i in indices
-        ])
-        base = len(cache)
-        row_of[indices] = base + np.arange(n)
-        allowed = _visibility(_parents(pool), row_of, indices, prefix_len, base + n)
-        positions = np.array([prefix_len + pool[i].depth for i in indices])
-        out = draft.forward(feats[None], [[pool[i].token for i in indices]], positions=positions,
-                            mask=allowed, cache=cache)
-        passes += 1
-        if np.isnan(out.logits.data).any():
-            raise NumericError("draft produced NaN logits")
-        dist = T.softmax(out.logits, axis=-1).data[0]
-        for r, i in enumerate(indices):
-            pool[i].feature = out.next_feature.data[0, r].copy()
-            probs_of[i] = dist[r]
+    cap = 1 + depth * select_m * expand_k
+    tokens = np.empty(cap, dtype=np.int64)
+    parents = np.empty(cap, dtype=np.int64)
+    depths = np.empty(cap, dtype=np.int64)
+    cond = np.empty(cap)
+    joint = np.empty(cap)
+    # an expanded node owns a tree key r, the draft cache row prefix + r, which
+    # indexes its carry feature; sees[i, r] says key r is node i or an ancestor
+    n_keys = 1 + (depth - 1) * select_m
+    key_of = np.full(cap, -1)
+    carry = np.full((n_keys + 1, feats.shape[1]), np.nan, dtype=np.float32)  # row -1 stays NaN
+    sees = np.zeros((cap, n_keys), dtype=bool)
+    tokens[0], parents[0], depths[0], cond[0], joint[0] = root_token, -1, 0, 1.0, 1.0
+    key_of[0], sees[0, 0], carry[0] = 0, True, out.next_feature.data[0, -1]
+    dist = T.KERNELS.softmax(out.logits.data[0, -1:])
+    expand = np.zeros(1, dtype=np.int64)  # expanded pool nodes, in rank order, aligned with dist
+    n = 1
 
-    frontier = [0]
-    process(frontier)
     for level in range(1, depth + 1):
-        expand = sorted(frontier, key=lambda i: rank_key(pool[i], i))[:select_m]
-        new_frontier = []
-        for i in expand:
-            probs = probs_of[i]
-            top = np.argsort(-probs, kind="stable")[:expand_k]
-            for tok in top:
-                if probs[tok] <= 0.0:
-                    continue  # a drafted child must carry positive draft mass
-                node = TreeNode(tok, i, pool[i].depth + 1,
-                                float(probs[tok]), pool[i].joint_prob * float(probs[tok]))
-                pool.append(node)
-                new_frontier.append(len(pool) - 1)
-        frontier = new_frontier
-        if level < depth and frontier:
-            chosen = sorted(frontier, key=lambda i: rank_key(pool[i], i))[:select_m]
-            process(chosen)
+        top, p = _top_k(dist, expand_k)
+        keep = p > 0.0                    # a drafted child must carry positive draft mass
+        p = p[keep].astype(np.float64)
+        kids = expand.repeat(top.shape[1])[keep.ravel()]   # their parents
+        new = slice(n, n + len(p))
+        tokens[new], parents[new], depths[new] = top[keep], kids, level
+        cond[new], joint[new] = p, joint[kids] * p
+        n += len(p)
+        if level == depth or not len(p):
+            break
+        expand = new.start + _rank(new, tokens, depths, joint)[:select_m]
+        key_of[expand] = keys = len(cache) - prefix + np.arange(len(expand))
+        _inherit_visibility(sees, expand, parents, keys)
+        allowed = np.ones((len(expand), len(cache) + len(expand)), dtype=bool)
+        allowed[:, prefix:] = sees[expand, :keys[-1] + 1]
+        out = draft.forward(carry[key_of[parents[expand]]][None], tokens[expand][None],
+                            positions=np.full(len(expand), prefix + level), mask=allowed,
+                            cache=cache)
+        passes += 1
+        carry[keys] = out.next_feature.data[0]
+        dist = T.KERNELS.softmax(out.logits.data[0])
 
-    candidates = sorted(range(1, len(pool)), key=lambda i: rank_key(pool[i], i))
-    selected = sorted(candidates[:budget])   # creation order is topological
-    index_map = {0: 0}
-    nodes = [root]
-    for i in selected:
-        n = pool[i]
-        index_map[i] = len(nodes)
-        if n.parent not in index_map:
-            raise ContractError("top-N selection broke ancestor closure")
-        nodes.append(TreeNode(n.token, index_map[n.parent], n.depth,
-                              n.cond_prob, n.joint_prob, n.feature))
-    return TokenTree(nodes), passes
+    # the root and the best candidates, in creation order, which is topological
+    keep = np.concatenate([[0], np.sort(1 + _rank(slice(1, n), tokens, depths, joint)[:budget])])
+    index_of = np.full(n, -1)
+    index_of[keep] = np.arange(len(keep))
+    kept_parents = index_of[parents[keep]]
+    kept_parents[0] = -1
+    if (kept_parents[1:] < 0).any():
+        raise ContractError("top-N selection broke ancestor closure")
+    return TokenTree(tokens[keep], kept_parents, depths[keep], cond[keep], joint[keep],
+                     carry[key_of[keep]]), passes
+
+
+def _rank(nodes, tokens, depths, joint):
+    """Offsets within the pool slice ``nodes`` in global candidate order:
+    joint desc, then shallow, then token id, then creation order (the sort
+    is stable)."""
+    return np.lexsort((tokens[nodes], depths[nodes], -joint[nodes]))
+
+
+def _top_k(probs, k):
+    """Each row's ``np.argsort(-row, kind="stable")[:k]``, and its values.
+
+    A row's k largest entries are those at or above its k-th largest value,
+    found by one (SIMD) value sort; they are then ordered by value, ties by
+    index.  When a row's (k+1)-th largest value ties its k-th, the tie
+    straddles the cut, and the block takes the stable argsort instead, so
+    that such ties go to the smaller ids.
+    """
+    m, v = probs.shape
+    rows = np.arange(m)[:, None]
+    if k < v:
+        ranked = np.sort(probs, axis=1)
+        kth = ranked[:, v - k]
+        if not (kth == ranked[:, v - k - 1]).any():
+            top = ((probs >= kth[:, None]).ravel().nonzero()[0] % v).reshape(m, k)
+            top = top[rows, (-probs[rows, top]).argsort(axis=1, kind="stable")]
+            return top, ranked[:, v - k:][:, ::-1]
+    top = np.argsort(-probs, axis=1, kind="stable")[:, :k]
+    return top, probs[rows, top]
 
 
 def tree_attention_mask(tree, prefix_len):
@@ -181,39 +225,31 @@ def tree_attention_mask(tree, prefix_len):
     whole prefix, its ancestors, and itself — nothing else.
     """
     n = len(tree)
-    return _visibility(_parents(tree.nodes), prefix_len + np.arange(n),
-                       np.arange(n), prefix_len, prefix_len + n)
+    allowed = np.zeros((n, prefix_len + n), dtype=bool)
+    allowed[:, :prefix_len] = True
+    sees = allowed[:, prefix_len:]
+    sees[0, 0] = True
+    for level in range(1, tree.depths.max() + 1):
+        nodes = np.flatnonzero(tree.depths == level)
+        _inherit_visibility(sees, nodes, tree.parents, nodes)
+    return allowed
 
 
 def chain_tree(tokens):
     """Linear tree: ``tokens[0]`` is the root, each later token the child of the one before."""
-    nodes = [TreeNode(tok, d - 1 if d else None, d, 1.0, 1.0) for d, tok in enumerate(tokens)]
-    return TokenTree(nodes)
+    n = len(tokens)
+    return TokenTree(tokens, np.arange(n) - 1, np.arange(n))
 
 
 def flatten(tree, prefix_len):
     """Flattened (tokens, positions, parents); positions follow tree depth."""
-    tokens = np.array([n.token for n in tree.nodes])
-    positions = np.array([prefix_len + n.depth for n in tree.nodes])
-    return tokens, positions, _parents(tree.nodes)
+    return tree.tokens, prefix_len + tree.depths, tree.parents
 
 
-def _parents(nodes):
-    return np.array([-1 if n.parent is None else n.parent for n in nodes])
-
-
-def _visibility(parents, key_of, queries, prefix_len, n_keys):
-    """Boolean (len(queries), n_keys) visibility, one tree level per iteration.
-
-    Row r sees every key below ``prefix_len`` and the key ``key_of[j]`` of
-    node ``queries[r]`` and of each of its ancestors j (``parents`` is -1
-    at the root).
-    """
-    allowed = np.zeros((len(queries), n_keys), dtype=bool)
-    allowed[:, :prefix_len] = True
-    rows, node = np.arange(len(queries)), np.asarray(queries, dtype=int)
-    while node.size:
-        allowed[rows, key_of[node]] = True
-        up = parents[node] >= 0
-        rows, node = rows[up], parents[node[up]]
-    return allowed
+def _inherit_visibility(sees, nodes, parents, keys):
+    """Row ``nodes[r]`` of the boolean ``sees`` gets its parent's row plus
+    its own key ``keys[r]``: a node sees exactly its ancestors' keys and its
+    own.  Parents' rows must be complete, so callers go one tree level at a
+    time."""
+    sees[nodes] = sees[parents[nodes]]
+    sees[nodes, keys] = True

@@ -10,7 +10,6 @@ import itertools
 import numpy as np
 
 from specdec import tensor as T
-from specdec.tree import rank_key
 
 
 def mask_by_parent_walk(tree, prefix_len):
@@ -26,9 +25,9 @@ def mask_by_parent_walk(tree, prefix_len):
             mask[prefix_len + i, j] = True
         # ancestor_or_self(j, i) via an explicit chain walk from i
         walk = i
-        while walk is not None:
+        while walk != -1:
             mask[prefix_len + i, prefix_len + walk] = True
-            walk = tree.nodes[walk].parent
+            walk = tree.parents[walk]
     return mask
 
 
@@ -144,8 +143,8 @@ def tree_signature(tree):
     for i in range(1, len(tree)):
         toks = []
         walk = i
-        while tree.nodes[walk].parent is not None:
-            toks.append(tree.nodes[walk].token)
-            walk = tree.nodes[walk].parent
+        while tree.parents[walk] != -1:
+            toks.append(int(tree.tokens[walk]))
+            walk = tree.parents[walk]
         out.append(tuple(toks[::-1]))
     return sorted(out)

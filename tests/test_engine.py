@@ -8,7 +8,7 @@ from specdec import engine as E
 from specdec import model as M
 from specdec import tensor as T
 from specdec.errors import CapacityError, ContractError
-from specdec.tree import TokenTree, TreeNode
+from specdec.tree import TokenTree, chain_tree
 
 
 def micro_stack(seed, vocab=32, hidden=16, intermediate=24, layers=2, max_seq=128):
@@ -21,12 +21,12 @@ def micro_stack(seed, vocab=32, hidden=16, intermediate=24, layers=2, max_seq=12
 
 def two_level_tree(root, children, grandchildren=()):
     """root -> children; optional grandchildren under the first child."""
-    nodes = [TreeNode(root, None, 0, 1.0, 1.0)]
-    for tok, q in children:
-        nodes.append(TreeNode(tok, 0, 1, q, q))
-    for tok, q in grandchildren:
-        nodes.append(TreeNode(tok, 1, 2, q, children[0][1] * q))
-    return TokenTree(nodes)
+    tokens = [root] + [t for t, _ in children] + [t for t, _ in grandchildren]
+    parents = [-1] + [0] * len(children) + [1] * len(grandchildren)
+    depths = [0] + [1] * len(children) + [2] * len(grandchildren)
+    cond = [1.0] + [q for _, q in children] + [q for _, q in grandchildren]
+    joint = [1.0] + [q for _, q in children] + [children[0][1] * q for _, q in grandchildren]
+    return TokenTree(tokens, parents, depths, cond, joint)
 
 
 class TestVerifyGreedy:
@@ -243,6 +243,66 @@ class TestCommit:
         assert stats.accepted_lengths == [0] * stats.target_passes
         want, _ = E.vanilla_generate(target, prompt, 6, temperature=0.0)
         assert out == want
+
+
+class TestDrafterContract:
+    def test_tree_with_wrong_root_is_contract_error(self):
+        cfg, target, _ = micro_stack(17)
+
+        class OffByOne:
+            passes_last = 0
+
+            def reset(self):
+                pass
+
+            def propose(self, committed, features):
+                return chain_tree([committed[-1] + 1, 2, 7])
+
+        engine = E.SpeculativeEngine(target, OffByOne())
+        with pytest.raises(ContractError):
+            engine.generate([9, 12, 7, 3], 8, temperature=0.0)
+
+
+class TestDraftSyncFold:
+    """The committed draft rows ride along in the root's forward pass."""
+
+    def test_passes_per_proposal_and_total(self, monkeypatch):
+        cfg, target, draft = micro_stack(18)
+        tree_passes = []
+        build = E.build_draft_tree
+
+        def counted(*args, **kwargs):
+            tree, passes = build(*args, **kwargs)
+            tree_passes.append(passes)
+            return tree, passes
+
+        monkeypatch.setattr(E, "build_draft_tree", counted)
+        for depth in (1, 3, 5):
+            tree_passes.clear()
+            engine = E.SpeculativeEngine(target, E.ModelDrafter(draft, depth=depth, expand_k=3,
+                                                                select_m=2, budget=8))
+            _, stats = engine.generate([3, 1, 4, 1, 5, 9], 24, temperature=0.0)
+            assert tree_passes and max(tree_passes) <= depth
+            assert stats.draft_passes == sum(tree_passes)
+
+    def test_cache_rows_match_causal_forward_over_committed(self):
+        cfg, target, draft = micro_stack(19)
+        drafter = E.ModelDrafter(draft, depth=3, expand_k=3, select_m=2, budget=6)
+        engine = E.SpeculativeEngine(target, drafter)
+        prompt = [2, 7, 1, 8, 2, 8]
+        out, stats = engine.generate(prompt, 10, temperature=0.0)
+        assert stats.target_passes >= 3
+        # the cache holds the committed rows up to the last root
+        committed = prompt + out
+        rows = len(drafter.cache)
+        with T.no_grad():
+            _, feats = target.forward(np.array(committed[:rows]))
+            fresh = draft.new_cache()
+            draft.forward(feats.data[None], [committed[1:rows + 1]], cache=fresh)
+        for layer in range(len(fresh.keys)):
+            np.testing.assert_allclose(drafter.cache.keys[layer], fresh.keys[layer], atol=1e-5)
+            np.testing.assert_allclose(drafter.cache.values[layer], fresh.values[layer],
+                                       atol=1e-5)
 
 
 class TestCeilings:

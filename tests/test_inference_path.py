@@ -9,7 +9,7 @@ import pytest
 from specdec import model as M
 from specdec import tensor as T
 from specdec.errors import ContractError
-from specdec.tree import TokenTree, TreeNode, flatten, tree_attention_mask
+from specdec.tree import TokenTree, flatten, tree_attention_mask
 
 
 def micro_config(**kw):
@@ -38,9 +38,8 @@ def both_arms(fn):
 
 
 def small_tree():
-    nodes = [TreeNode(4, None, 0, 1.0, 1.0), TreeNode(5, 0, 1, 0.6, 0.6),
-             TreeNode(6, 0, 1, 0.3, 0.3), TreeNode(7, 1, 2, 0.5, 0.3)]
-    return TokenTree(nodes)
+    return TokenTree([4, 5, 6, 7], [-1, 0, 0, 1], [0, 1, 1, 2], [1.0, 0.6, 0.3, 0.5],
+                     [1.0, 0.6, 0.3, 0.3])
 
 
 class TestSameValuesOnBothArms:

@@ -10,10 +10,11 @@ figures, run this file alone with ``OPENBLAS_NUM_THREADS=1`` and raise
 import numpy as np
 import pytest
 
+from specdec import engine as E
 from specdec import model as M
 from specdec import tensor as T
 from specdec.bench import DraftingConfig
-from specdec.tree import build_draft_tree
+from specdec.tree import TokenTree, build_draft_tree
 
 PREFIX = 30  # cached rows in front of the timed target forward
 
@@ -56,12 +57,37 @@ def test_draft_forward_8_rows(benchmark, stack):
     assert out.logits.shape == (1, 8, config.vocab_size)
 
 
-def test_build_draft_tree_default_preset(benchmark, stack):
-    config, _, draft = stack
+def default_preset_tree(draft, config):
     preset = DraftingConfig()
     feature = np.random.default_rng(9).normal(size=config.hidden_size).astype(np.float32)
     kw = dict(depth=preset.depth, expand_k=preset.expand_k, select_m=preset.select_m,
               budget=preset.budget)
-    tree, passes = benchmark.pedantic(build_draft_tree, args=(draft, feature, 5), kwargs=kw,
-                                      rounds=5)
-    assert len(tree) == preset.budget + 1 and passes == preset.depth
+    return (draft, feature, 5), kw
+
+
+def test_build_draft_tree_default_preset(benchmark, stack):
+    config, _, draft = stack
+    args, kw = default_preset_tree(draft, config)
+    tree, passes = benchmark.pedantic(build_draft_tree, args=args, kwargs=kw, rounds=5)
+    assert len(tree) == DraftingConfig().budget + 1 and passes == DraftingConfig().depth
+
+
+@pytest.mark.parametrize("walk", ["greedy", "stochastic"])
+def test_verify_walk_default_preset(benchmark, stack, walk):
+    config, _, draft = stack
+    args, kw = default_preset_tree(draft, config)
+    tree, _ = build_draft_tree(*args, **kw)
+    # target rows that favour each node's first child, so the walk goes deep
+    first = np.array(tree.siblings[0])
+    logits = np.zeros((len(tree), config.vocab_size))
+    logits[np.arange(len(tree)), np.where(first >= 0, tree.tokens[first], 0)] = 8.0
+    probs, rng = E._temperature_probs(logits, 1.0), np.random.default_rng(0)
+    verify = {"greedy": lambda t: E.verify_greedy(t, logits),
+              "stochastic": lambda t: E.verify_stochastic(t, probs, rng)}[walk]
+
+    def unwalked():  # a tree that has not cached its sibling lists yet
+        arrays = (tree.tokens, tree.parents, tree.depths, tree.cond_probs, tree.joint_probs)
+        return (TokenTree(*arrays),), {}
+
+    result = benchmark.pedantic(verify, setup=unwalked, rounds=50)
+    assert len(tree) == 61 and result.target_forward_passes == 1

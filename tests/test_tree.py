@@ -1,5 +1,8 @@
 """Token-tree construction, masks, and flattening against oracles."""
 
+import json
+import os
+
 import numpy as np
 import pytest
 
@@ -43,6 +46,39 @@ def build(draft, feat, token, **kw):
     return tree
 
 
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden_trees.json")
+GOLDEN_PRESETS = {"default": dict(depth=5, expand_k=8, select_m=8, budget=60),
+                  "chain": dict(depth=4, expand_k=1, select_m=1, budget=4),
+                  "wide": dict(depth=2, expand_k=20, select_m=3, budget=30)}
+
+
+def golden_drafts():
+    """A micro draft with a sharpened head (deep trees), one whose head
+    repeats three columns (exact logit ties, straddling every cut), and the
+    same ties scaled until most draft probabilities underflow to zero."""
+    cfg, target, draft = micro_draft(30, vocab=32, hidden=16, intermediate=24)
+    target.head.weight.data *= 60.0
+    yield "sharp", cfg, draft
+    for name, vocab, scale in (("tied", 16, 1.0), ("tied_zeros", 24, 4000.0)):
+        cfg, target, draft = micro_draft(31, vocab=vocab)
+        w = target.head.weight.data
+        w[:] = w[:, np.arange(vocab) % 3] * scale
+        yield name, cfg, draft
+
+
+def golden_trees():
+    """``TokenTree.to_json`` of every golden case, keyed draft/preset/root."""
+    out = {}
+    for name, cfg, draft in golden_drafts():
+        rng = np.random.default_rng(len(name))
+        for preset, kw in GOLDEN_PRESETS.items():
+            for r in range(2):
+                feat = rng.normal(size=cfg.hidden_size).astype(np.float32)
+                token = int(rng.integers(cfg.vocab_size))
+                out[f"{name}/{preset}/{r}"] = build(draft, feat, token, **kw).to_json()
+    return out
+
+
 class TestBuildDraftTree:
     def test_single_level_is_top_k(self):
         cfg, _, draft = micro_draft(0)
@@ -52,20 +88,17 @@ class TestBuildDraftTree:
         assert len(tree) == 4
         dists = oracles.linear_draft_probs(draft, feat, [3])
         expected = set(np.argsort(-dists[0], kind="stable")[:3].tolist())
-        assert {n.token for n in tree.nodes[1:]} == expected
-        for n in tree.nodes[1:]:
-            assert n.joint_prob == pytest.approx(n.cond_prob)
+        assert set(tree.tokens[1:].tolist()) == expected
+        np.testing.assert_allclose(tree.joint_probs, tree.cond_probs)
 
     def test_deterministic_draft_yields_chain(self):
         draft = OneHotStubDraft(vocab=16, tok=5)
         feat = np.zeros(8, dtype=np.float32)
         tree = build(draft, feat, 2, depth=4, expand_k=2, select_m=2, budget=4)
         assert len(tree) == 5
-        depths = [n.depth for n in tree.nodes]
-        assert depths == [0, 1, 2, 3, 4]
-        for n in tree.nodes[1:]:
-            assert n.token == 5
-            assert n.joint_prob == 1.0
+        assert tree.depths.tolist() == [0, 1, 2, 3, 4]
+        assert (tree.tokens[1:] == 5).all()
+        assert (tree.joint_probs[1:] == 1.0).all()
 
     def test_matches_exhaustive_subset_oracle(self):
         mismatches = []
@@ -91,10 +124,10 @@ class TestBuildDraftTree:
             budget = int(rng.integers(1, 9))
             tree = build(draft, feat, 1, depth=3, expand_k=3, select_m=2, budget=budget)
             assert tree.num_candidates <= budget
-            for i, n in enumerate(tree.nodes[1:], start=1):
-                parent = tree.nodes[n.parent]
-                assert n.joint_prob <= parent.joint_prob + 1e-12
-                assert n.joint_prob == pytest.approx(parent.joint_prob * n.cond_prob)
+            for i in range(1, len(tree)):
+                parent_joint = tree.joint_probs[tree.parents[i]]
+                assert tree.joint_probs[i] <= parent_joint + 1e-12
+                assert tree.joint_probs[i] == pytest.approx(parent_joint * tree.cond_probs[i])
 
     def test_determinism_bitwise(self):
         cfg, _, draft = micro_draft(3)
@@ -107,17 +140,20 @@ class TestBuildDraftTree:
         cfg, _, draft = micro_draft(4)
         feat = np.random.default_rng(4).normal(size=cfg.hidden_size).astype(np.float32)
         tree = build(draft, feat, 2, depth=2, expand_k=2, select_m=2, budget=4)
-        for i, node in enumerate(tree.nodes):
-            if node.feature is None:
-                continue
-            chain = [tree.nodes[j].token for j in tree.ancestors(i)] + [node.token]
+        for i, feature in enumerate(tree.features):
+            if np.isnan(feature).all():
+                continue  # never expanded
+            chain, walk = [], i
+            while walk >= 0:
+                chain.insert(0, int(tree.tokens[walk]))
+                walk = tree.parents[walk]
             cache = draft.new_cache()
             cur = feat
             with T.no_grad():
                 for tok in chain:
                     out = draft.forward(cur[None, None], [[tok]], cache=cache)
                     cur = out.next_feature.data[0, 0]
-            np.testing.assert_allclose(node.feature, cur, atol=1e-5)
+            np.testing.assert_allclose(feature, cur, atol=1e-5)
 
     def test_nan_logits_rejected(self):
         cfg, target, draft = micro_draft(5)
@@ -133,21 +169,85 @@ class TestBuildDraftTree:
             build(draft, feat, 0, depth=1, expand_k=2, select_m=2, budget=0)
 
 
+class TestGoldenTrees:
+    def test_builder_matches_recorded_trees(self):
+        # recorded from the earlier, per-node builder: the array pool must reproduce it
+        with open(GOLDEN, encoding="utf-8") as f:
+            want = json.load(f)
+        got = golden_trees()
+        assert sorted(got) == sorted(want)
+        for key in want:
+            assert got[key] == want[key], key
+
+
+class TestTopK:
+    @staticmethod
+    def check(probs, k):
+        got, values = TR._top_k(probs, k)
+        want = np.argsort(-probs, axis=1, kind="stable")[:, :k]
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(values, np.take_along_axis(probs, want, axis=1))
+
+    def test_random_rows(self):
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            m, v = int(rng.integers(1, 9)), int(rng.integers(1, 40))
+            probs = rng.dirichlet(np.ones(v), size=m).astype(np.float32)
+            self.check(probs, int(rng.integers(1, v + 3)))
+
+    def test_forced_ties_and_zeros(self):
+        rng = np.random.default_rng(12)
+        for _ in range(500):
+            m, v = int(rng.integers(1, 9)), int(rng.integers(2, 40))
+            levels = rng.choice([0.0, 0.05, 0.1, 0.25], size=int(rng.integers(1, 4)))
+            probs = rng.choice(levels, size=(m, v)).astype(np.float32)
+            self.check(probs, int(rng.integers(1, v + 3)))
+
+    def test_k_at_and_past_vocab(self):
+        probs = np.array([[0.2, 0.0, 0.5, 0.2, 0.1]], dtype=np.float32)
+        for k in (4, 5, 6, 50):
+            self.check(probs, k)
+
+
+class TestSyncRows:
+    def test_sync_rows_share_the_root_pass(self):
+        cfg, _, draft = micro_draft(14)
+        rng = np.random.default_rng(14)
+        feats = rng.normal(size=(5, cfg.hidden_size)).astype(np.float32)
+        toks = rng.integers(0, cfg.vocab_size, size=6)
+        kw = dict(depth=3, expand_k=3, select_m=2, budget=8)
+        with T.no_grad():
+            apart = draft.new_cache()
+            draft.forward(feats[None, :4], [toks[1:5]], cache=apart)
+            want, want_passes = TR.build_draft_tree(draft, feats[4], int(toks[5]), cache=apart, **kw)
+            folded = draft.new_cache()
+            got, passes = TR.build_draft_tree(draft, feats[4], int(toks[5]), cache=folded,
+                                              sync=(feats[:4], toks[1:5]), **kw)
+        assert passes == want_passes == 3
+        np.testing.assert_array_equal(got.tokens, want.tokens)
+        np.testing.assert_array_equal(got.parents, want.parents)
+        np.testing.assert_allclose(got.joint_probs, want.joint_probs, rtol=1e-4)
+        assert len(folded) == len(apart)
+        np.testing.assert_allclose(folded.keys[0], apart.keys[0], atol=1e-5)
+
+
 def random_tree(rng, n_nodes, vocab=32):
-    nodes = [TR.TreeNode(int(rng.integers(vocab)), None, 0, 1.0, 1.0)]
+    tokens, parents, depths = [int(rng.integers(vocab))], [-1], [0]
+    cond, joint = [1.0], [1.0]
     for _ in range(n_nodes - 1):
-        parent = int(rng.integers(0, len(nodes)))
-        cond = float(rng.uniform(0.05, 1.0))
-        nodes.append(TR.TreeNode(int(rng.integers(vocab)), parent,
-                                 nodes[parent].depth + 1, cond,
-                                 nodes[parent].joint_prob * cond))
-    order = sorted(range(len(nodes)), key=lambda i: (nodes[i].depth, i))
+        parent = int(rng.integers(0, len(tokens)))
+        c = float(rng.uniform(0.05, 1.0))
+        tokens.append(int(rng.integers(vocab)))
+        parents.append(parent)
+        depths.append(depths[parent] + 1)
+        cond.append(c)
+        joint.append(joint[parent] * c)
+    order = sorted(range(len(tokens)), key=lambda i: (depths[i], i))
     remap = {old: new for new, old in enumerate(order)}
-    rebuilt = [TR.TreeNode(nodes[i].token,
-                           None if nodes[i].parent is None else remap[nodes[i].parent],
-                           nodes[i].depth, nodes[i].cond_prob, nodes[i].joint_prob)
-               for i in order]
-    return TR.TokenTree(rebuilt)
+    remap[-1] = -1
+    return TR.TokenTree([tokens[i] for i in order], [remap[parents[i]] for i in order],
+                        [depths[i] for i in order], [cond[i] for i in order],
+                        [joint[i] for i in order])
 
 
 class TestAttentionMask:
@@ -157,10 +257,7 @@ class TestAttentionMask:
         np.testing.assert_array_equal(mask, np.tril(np.ones((3, 3), dtype=bool)))
 
     def test_siblings_invisible(self):
-        nodes = [TR.TreeNode(1, None, 0, 1.0, 1.0),
-                 TR.TreeNode(2, 0, 1, 0.5, 0.5),
-                 TR.TreeNode(3, 0, 1, 0.5, 0.5)]
-        tree = TR.TokenTree(nodes)
+        tree = TR.TokenTree([1, 2, 3], [-1, 0, 0], [0, 1, 1])
         mask = TR.tree_attention_mask(tree, prefix_len=2)
         assert mask.shape == (3, 5)             # tree rows only, over prefix + tree keys
         for row in (1, 2):
@@ -180,11 +277,20 @@ class TestAttentionMask:
             np.testing.assert_array_equal(got, want)
 
     def test_non_topological_order_rejected(self):
-        nodes = [TR.TreeNode(1, None, 0, 1.0, 1.0),
-                 TR.TreeNode(2, 2, 1, 0.5, 0.5),
-                 TR.TreeNode(3, 0, 1, 0.5, 0.5)]
         with pytest.raises(ContractError):
-            TR.TokenTree(nodes)
+            TR.TokenTree([1, 2, 3], [-1, 2, 0], [0, 1, 1])
+
+
+class TestSiblings:
+    def test_children_chain_by_cond_then_token_then_index(self):
+        tree = TR.TokenTree([1, 5, 9, 3, 7], [-1, 0, 0, 0, 1], [0, 1, 1, 1, 2],
+                            [1.0, 0.2, 0.5, 0.5, 0.9])
+        first, nxt = tree.siblings
+        assert first == [3, 4, -1, -1, -1]
+        assert nxt == [-1, -1, 1, 2, -1]
+
+    def test_root_alone(self):
+        assert TR.chain_tree([4]).siblings == ([-1], [-1])
 
 
 class TestFlatten:
@@ -196,10 +302,7 @@ class TestFlatten:
         np.testing.assert_array_equal(parents, [-1, 0, 1])
 
     def test_sibling_positions_equal(self):
-        nodes = [TR.TreeNode(1, None, 0, 1.0, 1.0),
-                 TR.TreeNode(5, 0, 1, 0.5, 0.5),
-                 TR.TreeNode(6, 0, 1, 0.5, 0.5)]
-        tree = TR.TokenTree(nodes)
+        tree = TR.TokenTree([1, 5, 6], [-1, 0, 0], [0, 1, 1])
         _, positions, _ = TR.flatten(tree, prefix_len=4)
         np.testing.assert_array_equal(positions, [4, 5, 5])
 
@@ -212,9 +315,8 @@ class TestFlatten:
             for i in range(1, len(tokens)):
                 rebuilt_depth[i] = rebuilt_depth[parents[i]] + 1
             np.testing.assert_array_equal(rebuilt_depth + 3, positions)
-            for i, node in enumerate(tree.nodes):
-                assert node.token == tokens[i]
-                assert (node.parent if node.parent is not None else -1) == parents[i]
+            np.testing.assert_array_equal(tree.tokens, tokens)
+            np.testing.assert_array_equal(tree.parents, parents)
 
 
 class TestJsonDump:
@@ -224,6 +326,11 @@ class TestJsonDump:
         text = tree.to_json()
         back = TR.TokenTree.from_json(text)
         assert back.to_json() == text
+
+    def test_inconsistent_depth_rejected(self):
+        text = TR.chain_tree([1, 2, 3]).to_json().replace('"depth": 2', '"depth": 5')
+        with pytest.raises(ContractError):
+            TR.TokenTree.from_json(text)
 
     def test_golden_document(self):
         # pins the debug-dump schema; the one-hot stub makes probs exact
