@@ -7,7 +7,7 @@ import numpy as np
 
 from specdec import model as M
 from specdec import tensor as T
-from specdec.tree import build_draft_tree, flatten, tree_attention_mask
+from specdec.tree import build_draft_tree, tree_attention_mask
 
 cfg = M.ModelConfig(vocab_size=32, hidden_size=16, intermediate_size=24,
                     n_layers=2, n_heads=2, max_seq_len=64)
@@ -24,7 +24,7 @@ with T.no_grad():
     tree, passes = build_draft_tree(draft, root_feature, root_token,
                                     depth=3, expand_k=3, select_m=2, budget=6)
 
-print(f"built a tree of {tree.num_candidates} candidates "
+print(f"built a tree of {len(tree) - 1} candidates "
       f"in {passes} draft forward passes\n")
 # the tree is a set of parallel arrays, one entry per node, root first
 for i in range(len(tree)):
@@ -35,11 +35,12 @@ for i in range(len(tree)):
 # every child ranks at or below its parent, so the best-N cut is a valid tree
 assert (tree.joint_probs[1:] <= tree.joint_probs[tree.parents[1:]]).all()
 
-# flattening: one row per node, position = prefix length + depth
-tokens, positions, parents = flatten(tree, prefix_len=10)
-print("\nflattened tokens:   ", tokens.tolist())
-print("flattened positions:", positions.tolist())
-print("flattened parents:  ", parents.tolist())
+# the target scores one row per node, at position prefix length + depth;
+# verification tries each node's children in index order, which the builder
+# made descending draft probability, then token id
+print("\nrow tokens:   ", tree.tokens.tolist())
+print("row positions:", (10 + tree.depths).tolist())
+print("row parents:  ", tree.parents.tolist())
 
 # the attention mask has one row per tree node, over the prefix keys and
 # the tree keys: each node sees the whole prefix, its ancestors, itself

@@ -39,4 +39,4 @@ from .model import (
 from .tensor import AdamW, Tensor, backward, no_grad
 from .tokenizer import Tokenizer, build_tokenizer
 from .training import TokenizedCorpus, TrainConfig, pretrain_target, train_draft
-from .tree import TokenTree, build_draft_tree, flatten, tree_attention_mask
+from .tree import TokenTree, build_draft_tree, tree_attention_mask

@@ -229,9 +229,9 @@ def cmd_selftest(args):
         try:
             fn()
             _say(f"selftest {name}: ok")
-        except Exception as e:  # noqa: BLE001 - report and continue
+        except SpecDecError as e:  # report and continue
             failures.append(name)
-            _say(f"selftest {name}: FAIL ({e})")
+            _say(f"selftest {name}: FAIL ({type(e).__name__}: {e})")
 
     def gradients():
         rng = np.random.default_rng(0)
@@ -255,7 +255,7 @@ def cmd_selftest(args):
             flat[i] = orig
             fd = (up - down) / (2 * h)
             if abs(g[i] - fd) > 1e-3 * max(1.0, abs(fd)):
-                raise AssertionError(f"gradient mismatch at {i}: {g[i]} vs {fd}")
+                raise NumericError(f"gradient mismatch at {i}: {g[i]} vs {fd}")
 
     def greedy_lossless():
         cfg = M.ModelConfig(vocab_size=32, hidden_size=16, intermediate_size=24,
@@ -270,7 +270,7 @@ def cmd_selftest(args):
             want, _ = E.vanilla_generate(target, prompt, 16, temperature=0.0)
             got, _ = engine.generate(prompt, 16, temperature=0.0)
             if got != want:
-                raise AssertionError("speculative output diverged from vanilla")
+                raise ContractError("speculative output diverged from vanilla")
 
     def checkpoint_roundtrip():
         import tempfile
@@ -283,7 +283,7 @@ def cmd_selftest(args):
             back = M.load_checkpoint(p)
             for name, t in target.named_tensors().items():
                 if not np.array_equal(back.named_tensors()[name].data, t.data):
-                    raise AssertionError(f"tensor {name} not bit-equal")
+                    raise CheckpointFormatError(f"tensor {name} not bit-equal")
 
     check("gradients", gradients)
     check("greedy-losslessness", greedy_lossless)

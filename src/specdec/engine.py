@@ -1,20 +1,22 @@
 """Lossless verification and the speculative generation loop.
 
 One step: the drafter proposes a token tree rooted at the newest
-committed token, the target scores the flattened tree in a single
-forward pass, acceptance walks the tree, and the caches are compacted
-to the accepted path.  Every step emits at least one token (the bonus),
-so generation always makes progress.
+committed token and no deeper than the room left before ``max_seq_len``,
+the target scores every tree node in a single forward pass, acceptance
+walks the tree, and the caches are compacted to the accepted path.
+Every step emits at least one token (the bonus), so generation always
+makes progress.
 
-Greedy acceptance takes the child matching the target argmax at each
-position (ties to the smallest token id, matching vanilla decoding).
-Stochastic acceptance preserves the target distribution exactly for a
-tree whose candidates are a deterministic function of the prefix: a
-child is accepted with the probability the residual target distribution
-assigns to its token, a rejected token's mass is removed entirely
-before renormalizing, and the bonus token is drawn from the final
-residual.  Under this rule the marginal law of every emitted token
-equals vanilla sampling from the target.
+Both acceptance rules try a node's children in index order, the order
+the drafter created them in.  Greedy acceptance takes the child matching
+the target argmax at each position (ties to the smallest token id,
+matching vanilla decoding).  Stochastic acceptance preserves the target
+distribution exactly for a tree whose candidates are a deterministic
+function of the prefix: a child is accepted with the probability the
+residual target distribution assigns to its token, a rejected token's
+mass is removed entirely before renormalizing, and the bonus token is
+drawn from the final residual.  Under this rule the marginal law of
+every emitted token equals vanilla sampling from the target.
 
 Randomness is replayable: each generation step uses its own stream,
 derived as SeedSequence(seed).spawn-style child keyed by the step index.
@@ -29,7 +31,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import CapacityError, ContractError, NumericError
-from .tree import build_draft_tree, chain_tree, flatten, tree_attention_mask
+from .tree import build_draft_tree, chain_tree, tree_attention_mask
 
 
 def step_rng(seed, step):
@@ -45,13 +47,12 @@ class VerifyResult:
     one bonus token, against exactly one target forward pass.
     """
 
-    __slots__ = ("accepted_path", "accepted_tokens", "bonus_token", "target_forward_passes")
+    __slots__ = ("accepted_path", "accepted_tokens", "bonus_token")
 
     def __init__(self, accepted_path, accepted_tokens, bonus_token):
         self.accepted_path = accepted_path
         self.accepted_tokens = accepted_tokens
         self.bonus_token = int(bonus_token)
-        self.target_forward_passes = 1
 
 
 def verify_greedy(tree, node_logits):
@@ -76,9 +77,8 @@ def verify_stochastic(tree, node_probs, rng):
     """Distribution-preserving acceptance for a deterministic candidate tree.
 
     ``node_probs[i]`` is the (temperature-scaled) target distribution at
-    node i's position.  Children are tried in descending draft
-    conditional probability; the emitted-token law does not depend on
-    that order.
+    node i's position.  Children are tried in index order; the
+    emitted-token law does not depend on that order.
     """
     tokens, cond = tree.tokens.tolist(), tree.cond_probs.tolist()
 
@@ -104,25 +104,18 @@ def _walk(tree, judge):
     """The acceptance walk both verifiers share.
 
     From the root, ``judge(node, children)`` gets the node's children in
-    sibling order (``TokenTree.siblings``) and returns (accepted child,
-    its token) or (None, bonus token), which ends the walk.
+    index order and returns (accepted child, its token) or (None, bonus
+    token), which ends the walk.
     """
-    first, nxt = tree.siblings
     path, tokens = [], []
     node = 0
     while True:
-        child, token = judge(node, _children(first[node], nxt))
+        child, token = judge(node, np.flatnonzero(tree.parents == node).tolist())
         if child is None:
             return VerifyResult(path, tokens, token)
         path.append(child)
         tokens.append(token)
         node = child
-
-
-def _children(child, nxt):
-    while child >= 0:
-        yield child
-        child = nxt[child]
 
 
 class GenerationStats:
@@ -173,40 +166,37 @@ class ModelDrafter:
         self.expand_k = expand_k
         self.select_m = select_m
         self.budget = budget
-        self.passes_last = 0
         self.reset()
 
     def reset(self):
         self.cache = self.draft.new_cache()
 
-    def propose(self, committed, features):
-        if len(committed) < 2:
-            raise ContractError("drafting needs at least two committed tokens")
+    def propose(self, committed, features, max_depth):
+        if len(committed) < 2:  # no committed feature to draft from: the root alone
+            return chain_tree(committed[-1:]), 0
         root = len(committed) - 2  # the root row fuses features[root] with committed[-1]
         have = len(self.cache)
-        sync = None
-        if root > have:
-            sync = (np.stack(features[have:root]), committed[have + 1:root + 1])
-        # the deepest node sits at position len(committed) - 1 + depth
-        depth = min(self.depth, self.draft.config.max_seq_len - len(committed))
-        tree, self.passes_last = build_draft_tree(
+        sync = (features[have:root], committed[have + 1:root + 1]) if root > have else None
+        tree, passes = build_draft_tree(
             self.draft, features[root], committed[-1],
-            depth=depth, expand_k=self.expand_k, select_m=self.select_m,
+            depth=min(self.depth, max_depth), expand_k=self.expand_k, select_m=self.select_m,
             budget=self.budget, cache=self.cache, sync=sync)
         # keep the committed rows up to the root row (a true committed pair)
         self.cache.truncate(root + 1)
-        return tree
+        return tree, passes
 
 
 class SpeculativeEngine:
     """Drives draft → verify → commit over a single sequence.
 
-    A drafter provides ``reset()``, called once per sequence;
-    ``propose(committed, features)``, which returns a TokenTree rooted at
-    ``committed[-1]`` given the target features of every committed
-    position but the newest (called once at least two tokens are
-    committed; a tree rooted elsewhere raises ``ContractError``); and
-    ``passes_last``, the draft forward passes that the latest proposal took.
+    A drafter provides ``reset()``, called once per sequence, and
+    ``propose(committed, features, max_depth) -> (tree, draft_passes)``,
+    called once per step.  ``features`` holds the target features of
+    every committed position but the newest, one row each, and
+    ``max_depth = max_seq_len - len(committed)`` is the room left.  The
+    tree must be rooted at ``committed[-1]`` and no deeper than
+    ``max_depth``, or the step raises ``ContractError``; ``draft_passes``
+    is the number of draft forward passes the proposal took.
     """
 
     def __init__(self, target, drafter):
@@ -219,13 +209,8 @@ class SpeculativeEngine:
         Returns (new_tokens, GenerationStats).  Output is token-identical
         to vanilla decoding of the target at the same temperature/seed.
         """
-        _check_temperature(temperature)
-        prompt = [int(t) for t in prompt]
-        if not prompt:
-            raise ContractError("prompt must be nonempty")
         max_len = self.target.config.max_seq_len
-        if len(prompt) >= max_len:
-            raise CapacityError(f"prompt of {len(prompt)} tokens does not fit context {max_len}")
+        prompt = _admit(prompt, temperature, max_len)
         stop = min(len(prompt) + max_new, max_len)  # the committed length at which vanilla stops
 
         start = time.perf_counter()
@@ -233,29 +218,26 @@ class SpeculativeEngine:
         committed = list(prompt)
         with T.no_grad():
             cache = self.target.new_cache()
-            features = []
-            if len(committed) > 1:
-                _, feats = self.target.forward(np.array(committed[:-1]), cache=cache)
-                features = [feats.data[i] for i in range(len(committed) - 1)]
+            features = np.empty((max_len, self.target.config.hidden_size), dtype=np.float32)
+            if len(prompt) > 1:  # a one-token prompt has nothing to prefill
+                _, feats = self.target.forward(np.array(prompt[:-1]), cache=cache)
+                features[:len(prompt) - 1] = feats.data
             self.drafter.reset()
 
             step = 0
             while len(committed) < stop:
-                if len(committed) < 2:  # nothing to draft from: the root alone
-                    tree, passes = chain_tree(committed), 0
-                else:
-                    tree = self.drafter.propose(committed, features)
-                    passes = self.drafter.passes_last
-                    if tree.tokens[0] != committed[-1]:
-                        raise ContractError(f"drafted tree is rooted at token {tree.tokens[0]}, "
-                                            f"not at the newest committed {committed[-1]}")
-                prefix = len(cache)
-                if prefix + tree.depths.max() >= max_len:
-                    tree = chain_tree(committed[-1:])  # the root alone is one vanilla step
-                tokens, positions, _ = flatten(tree, prefix)
+                prefix = len(cache)  # == len(committed) - 1
+                max_depth = max_len - len(committed)
+                tree, passes = self.drafter.propose(committed, features[:prefix], max_depth)
+                if tree.tokens[0] != committed[-1]:
+                    raise ContractError(f"drafted tree is rooted at token {tree.tokens[0]}, "
+                                        f"not at the newest committed {committed[-1]}")
+                if tree.depths.max() > max_depth:
+                    raise ContractError(f"drafted tree of depth {tree.depths.max()} does not fit "
+                                        f"the {max_depth} positions left")
                 logits, node_feats = self.target.forward(
-                    tokens, positions=positions, mask=tree_attention_mask(tree, prefix),
-                    cache=cache)
+                    tree.tokens, positions=prefix + tree.depths,
+                    mask=tree_attention_mask(tree, prefix), cache=cache)
 
                 if temperature == 0.0:
                     result = verify_greedy(tree, logits.data)
@@ -263,19 +245,16 @@ class SpeculativeEngine:
                     probs = _temperature_probs(logits.data, temperature)
                     result = verify_stochastic(tree, probs, step_rng(seed, step))
 
-                keep = np.concatenate([np.arange(prefix),
-                                       prefix + np.array([0] + result.accepted_path, dtype=int)])
-                cache.keep(keep)
-                for idx in [0] + result.accepted_path:
-                    features.append(node_feats.data[idx])
+                rows = [0] + result.accepted_path
+                cache.keep(np.concatenate([np.arange(prefix), prefix + np.array(rows)]))
+                features[prefix:prefix + len(rows)] = node_feats.data[rows]
                 committed.extend(result.accepted_tokens)
                 committed.append(result.bonus_token)
 
-                emitted_now = len(result.accepted_tokens) + 1
                 stats.record_step(len(result.accepted_tokens), len(tree), passes)
                 step += 1
-                if eos_id is not None and eos_id in committed[-emitted_now:]:
-                    del committed[committed.index(eos_id, len(committed) - emitted_now) + 1:]
+                if eos_id is not None and eos_id in committed[-len(rows):]:  # the emitted tokens
+                    del committed[committed.index(eos_id, len(committed) - len(rows)) + 1:]
                     break
 
         new_tokens = committed[len(prompt):stop]
@@ -285,9 +264,16 @@ class SpeculativeEngine:
         return new_tokens, stats
 
 
-def _check_temperature(temperature):
+def _admit(prompt, temperature, max_len):
+    """The request checks both decoders share; returns the prompt as ints."""
     if not (temperature == 0.0 or 0.0 < temperature <= 2.0):
         raise ContractError(f"temperature must be 0 or in (0, 2], got {temperature}")
+    prompt = [int(t) for t in prompt]
+    if not prompt:
+        raise ContractError("prompt must be nonempty")
+    if len(prompt) >= max_len:
+        raise CapacityError(f"prompt of {len(prompt)} tokens does not fit context {max_len}")
+    return prompt
 
 
 def _temperature_probs(logits, temperature):
@@ -305,13 +291,8 @@ def vanilla_generate(target, prompt, max_new, temperature=0.0, seed=0, eos_id=No
     Uses the same per-step stream rule as the speculative path.  Returns
     (new_tokens, GenerationStats) with one target pass per emitted token.
     """
-    _check_temperature(temperature)
-    prompt = [int(t) for t in prompt]
-    if not prompt:
-        raise ContractError("prompt must be nonempty")
     max_len = target.config.max_seq_len
-    if len(prompt) >= max_len:
-        raise CapacityError(f"prompt of {len(prompt)} tokens does not fit context {max_len}")
+    prompt = _admit(prompt, temperature, max_len)
     start = time.perf_counter()
     stats = GenerationStats()
     out = []
@@ -348,16 +329,15 @@ class ChainDrafter:
     def __init__(self, next_token_fn, depth=5):
         self.next_token_fn = next_token_fn
         self.depth = depth
-        self.passes_last = 0
 
     def reset(self):
         pass
 
-    def propose(self, committed, features):
+    def propose(self, committed, features, max_depth):
         chain = []
-        for _ in range(self.depth):
+        for _ in range(min(self.depth, max_depth)):
             chain.append(self.next_token_fn(committed, chain))
-        return chain_tree(committed[-1:] + chain)
+        return chain_tree(committed[-1:] + chain), 0
 
 
 class OracleChainDrafter:
@@ -370,12 +350,11 @@ class OracleChainDrafter:
     def __init__(self, target, depth=5):
         self.target = target
         self.depth = depth
-        self.passes_last = 0
 
     def reset(self):
         pass
 
-    def propose(self, committed, features):
+    def propose(self, committed, features, max_depth):
         with T.no_grad():
-            chain, _ = vanilla_generate(self.target, committed, self.depth, temperature=0.0)
-        return chain_tree(committed[-1:] + chain)
+            chain, _ = vanilla_generate(self.target, committed, min(self.depth, max_depth))
+        return chain_tree(committed[-1:] + chain), 0

@@ -367,8 +367,6 @@ class FeatureSampler:
     the original feature.  Output shape always equals the feature input's.
     """
 
-    variant_label = "feature_sampler"
-
     def __init__(self, rng, config):
         c, i = config.hidden_size, config.intermediate_size
         self.up = Linear(rng, c, i)
@@ -387,8 +385,6 @@ class FeatureSampler:
 
 class LinearCombiner:
     """Affine map on concat(feature, embedding) -> hidden."""
-
-    variant_label = "linear_combiner"
 
     def __init__(self, rng, config):
         c = config.hidden_size

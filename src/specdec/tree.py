@@ -30,9 +30,10 @@ from .errors import ContractError
 class TokenTree:
     """Root plus candidate nodes as parallel arrays, parents before children.
 
-    ``parents`` is -1 at the root; ``cond_probs`` and ``joint_probs`` (draft
-    probabilities, float64) default to 1.  ``features`` is (n, hidden) with
-    a NaN row for every node the draft never expanded, or None.
+    Verification tries a node's children in index order.  ``parents`` is
+    -1 at the root; ``cond_probs`` and ``joint_probs`` (draft probabilities,
+    float64) default to 1.  ``features`` is (n, hidden) with a NaN row for
+    every node the draft never expanded, or None.
     """
 
     def __init__(self, tokens, parents, depths, cond_probs=None, joint_probs=None,
@@ -56,36 +57,9 @@ class TokenTree:
         self.joint_probs = (np.ones(n) if joint_probs is None
                             else np.asarray(joint_probs, np.float64))
         self.features = features
-        self._siblings = None
 
     def __len__(self):
         return len(self.tokens)
-
-    @property
-    def num_candidates(self):
-        return len(self.tokens) - 1
-
-    @property
-    def siblings(self):
-        """(first_child, next_sibling) index lists, -1 where there is none.
-
-        Each node's children are chained in descending conditional
-        probability, then ascending token id, then index.
-        """
-        if self._siblings is None:
-            n = len(self.tokens)
-            first, nxt, last = [-1] * n, [-1] * n, [-1] * n
-            parents = self.parents.tolist()
-            # a stable sort, parents first; the root (parent -1) sorts first
-            for i in np.lexsort((self.tokens, -self.cond_probs, self.parents))[1:].tolist():
-                p = parents[i]
-                if last[p] < 0:
-                    first[p] = i
-                else:
-                    nxt[last[p]] = i
-                last[p] = i
-            self._siblings = first, nxt
-        return self._siblings
 
     def to_json(self):
         parents = self.parents.tolist()
@@ -116,6 +90,9 @@ def build_draft_tree(draft, root_feature, root_token, *, depth, expand_k, select
     ``sync=(features, tokens)`` holds committed draft rows the cache still
     lacks, the rows just before the root: they go through the root's own
     causal forward pass and stay in the cache in front of the root row.
+
+    Each node's children come in descending draft probability, then
+    ascending token id: the order in which verification tries them.
 
     Returns (tree, draft_forward_passes).
     """
@@ -219,7 +196,7 @@ def _top_k(probs, k):
 
 
 def tree_attention_mask(tree, prefix_len):
-    """Visibility of the flattened tree rows over prefix + tree keys.
+    """Visibility of the tree rows over prefix + tree keys.
 
     Shape (len(tree), prefix_len + len(tree)): each tree row sees the
     whole prefix, its ancestors, and itself — nothing else.
@@ -239,11 +216,6 @@ def chain_tree(tokens):
     """Linear tree: ``tokens[0]`` is the root, each later token the child of the one before."""
     n = len(tokens)
     return TokenTree(tokens, np.arange(n) - 1, np.arange(n))
-
-
-def flatten(tree, prefix_len):
-    """Flattened (tokens, positions, parents); positions follow tree depth."""
-    return tree.tokens, prefix_len + tree.depths, tree.parents
 
 
 def _inherit_visibility(sees, nodes, parents, keys):

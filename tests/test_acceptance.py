@@ -145,9 +145,10 @@ class TestCriterion2StochasticLosslessness:
             features = [feats.data[i] for i in range(len(committed) - 1)]
             drafter.reset()
             for pos in range(5):
-                tree = drafter.propose(committed, features)
+                tree, _ = drafter.propose(committed, np.array(features),
+                                          cfg.max_seq_len - len(committed))
                 prefix = len(cache)
-                tokens, positions, _ = E.flatten(tree, prefix)
+                tokens, positions = tree.tokens, prefix + tree.depths
                 mask = tree_attention_mask(tree, prefix)
                 logits, node_feats = target.forward(tokens, positions=positions,
                                                     mask=mask, cache=cache)

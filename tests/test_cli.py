@@ -74,6 +74,17 @@ class TestEndToEnd:
     def test_selftest(self):
         assert cli.main(["selftest"]) == 0
 
+    def test_failing_selftest_check_exits_4_and_is_named(self, monkeypatch, capsys):
+        def diverge(self, prompt, max_new, **kw):
+            return [-1] * max_new, None  # no token id is negative
+
+        monkeypatch.setattr(cli.E.SpeculativeEngine, "generate", diverge)
+        assert cli.main(["selftest"]) == 4
+        err = capsys.readouterr().err
+        assert "selftest greedy-losslessness: FAIL (ContractError: speculative output" in err
+        assert "selftest gradients: ok" in err and "selftest checkpoint-roundtrip: ok" in err
+        assert "['greedy-losslessness']" in err
+
 
 class TestExitCodes:
     def test_unknown_config_key_is_config_error(self, tmp_path):

@@ -38,7 +38,6 @@ class TestVerifyGreedy:
         res = E.verify_greedy(tree, logits)
         assert res.accepted_tokens == [4]
         assert res.bonus_token == 7
-        assert res.target_forward_passes == 1
 
     def test_no_match_emits_bonus_only(self):
         tree = two_level_tree(1, [(4, 0.9), (5, 0.1)])
@@ -109,18 +108,22 @@ class TestVerifyStochastic:
         p0 = np.array([0.5, 0.2, 0.3, 0.0])
         probs = np.vstack([p0, np.full(4, 0.25), np.full(4, 0.25)])
         fwd = two_level_tree(9, [(0, 0.6), (2, 0.4)])
-        rev = two_level_tree(9, [(0, 0.4), (2, 0.6)])  # flipped trial order
-        results = {}
+        rev = two_level_tree(9, [(2, 0.4), (0, 0.6)])  # same children, reverse index order
+        results, firsts = {}, {}
         for name, tree in (("fwd", fwd), ("rev", rev)):
             rng = np.random.default_rng(5)
             counts = np.zeros(4)
+            firsts[name] = []
             for _ in range(60000):
                 res = E.verify_stochastic(tree, probs, rng)
                 first = res.accepted_tokens[0] if res.accepted_tokens else res.bonus_token
                 counts[first] += 1
+                firsts[name].append(first)
             results[name] = counts / 60000
         np.testing.assert_allclose(results["fwd"], p0, atol=0.01)
         np.testing.assert_allclose(results["rev"], p0, atol=0.01)
+        # the same random stream gave different draws: the trial order did flip
+        assert firsts["fwd"] != firsts["rev"]
 
 
 class TestGenerateGreedyLossless:
@@ -204,13 +207,13 @@ class TestCommit:
             _, feats = target.forward(np.array(committed[:-1]), cache=cache)
             features = [feats.data[i] for i in range(len(committed) - 1)]
             drafter.reset()
-            from specdec.tree import flatten, tree_attention_mask
+            from specdec.tree import tree_attention_mask
             for _ in range(4):
-                tree = drafter.propose(committed, features)
+                tree, _ = drafter.propose(committed, np.array(features),
+                                          cfg.max_seq_len - len(committed))
                 prefix = len(cache)
-                tokens, positions, _ = flatten(tree, prefix)
                 mask = tree_attention_mask(tree, prefix)
-                logits, node_feats = target.forward(tokens, positions=positions,
+                logits, node_feats = target.forward(tree.tokens, positions=prefix + tree.depths,
                                                     mask=mask, cache=cache)
                 res = E.verify_greedy(tree, logits.data)
                 keep = np.concatenate([np.arange(prefix),
@@ -250,17 +253,48 @@ class TestDrafterContract:
         cfg, target, _ = micro_stack(17)
 
         class OffByOne:
-            passes_last = 0
-
             def reset(self):
                 pass
 
-            def propose(self, committed, features):
-                return chain_tree([committed[-1] + 1, 2, 7])
+            def propose(self, committed, features, max_depth):
+                return chain_tree([committed[-1] + 1, 2, 7]), 0
 
         engine = E.SpeculativeEngine(target, OffByOne())
         with pytest.raises(ContractError):
             engine.generate([9, 12, 7, 3], 8, temperature=0.0)
+
+    def test_tree_deeper_than_the_room_left_is_contract_error(self):
+        cfg, target, _ = micro_stack(17, max_seq=16)
+        calls = []
+
+        class Unclamped:
+            def reset(self):
+                pass
+
+            def propose(self, committed, features, max_depth):
+                calls.append(max_depth)
+                return chain_tree(committed[-1:] + [1, 2, 3]), 0
+
+        engine = E.SpeculativeEngine(target, Unclamped())
+        with pytest.raises(ContractError, match="depth 3"):
+            engine.generate(list(range(1, 15)), 8, temperature=0.0)   # room for depth 2
+        assert calls == [2]
+
+    def test_one_token_prompt_drafts_from_the_first_step(self):
+        cfg, target, _ = micro_stack(21)
+        seen = []
+
+        def greedy(committed, chain):
+            seen.append((len(committed), len(chain)))
+            want, _ = E.vanilla_generate(target, list(committed) + chain, 1, temperature=0.0)
+            return want[0]
+
+        engine = E.SpeculativeEngine(target, E.ChainDrafter(greedy, depth=3))
+        got, stats = engine.generate([5], 8, temperature=0.0)
+        want, _ = E.vanilla_generate(target, [5], 8, temperature=0.0)
+        assert got == want
+        assert stats.tree_sizes[0] == 4 and seen[:3] == [(1, 0), (1, 1), (1, 2)]
+        assert stats.accepted_lengths[0] == 3 and stats.draft_passes == 0
 
 
 class TestDraftSyncFold:
@@ -391,8 +425,19 @@ class TestContextEdge:
         max_seq = int(rng.integers(10, 20))
         cfg, target, draft = micro_stack(300 + seed, vocab=int(rng.integers(12, 40)),
                                          layers=int(rng.integers(1, 3)), max_seq=max_seq)
-        for preset in self.PRESETS:
-            engine = E.SpeculativeEngine(target, E.ModelDrafter(draft, **preset))
+
+        def mostly_right(committed, chain):
+            # the target's greedy token, but a wrong one at every third position
+            want, _ = E.vanilla_generate(target, list(committed) + chain, 1)
+            wrong = (len(committed) + len(chain)) % 3 == 0
+            return (want[0] + wrong) % cfg.vocab_size
+
+        engines = [E.SpeculativeEngine(target, E.ModelDrafter(draft, **preset))
+                   for preset in self.PRESETS]
+        engines.append(E.SpeculativeEngine(target, E.ChainDrafter(mostly_right, depth=4)))
+        for engine in engines:
+            # a chain drafter always has a token to propose: no step verifies the root alone
+            chained = isinstance(engine.drafter, E.ChainDrafter)
             for length in range(1, max_seq + 1):
                 prompt = rng.integers(0, cfg.vocab_size, size=length).tolist()
                 if length == max_seq:
@@ -409,10 +454,12 @@ class TestContextEdge:
                         got, stats = engine.generate(prompt, max_new, eos_id=eos)
                         assert got == want
                         assert (stats.emitted, stats.truncated) == (len(got), want_stats.truncated)
+                        assert not chained or min(stats.tree_sizes) > 1
 
                         kw = dict(temperature=0.8, seed=length, eos_id=eos)
                         want, _ = E.vanilla_generate(target, prompt, max_new, **kw)
-                        got, _ = engine.generate(prompt, max_new, **kw)
+                        got, stats = engine.generate(prompt, max_new, **kw)
+                        assert not chained or min(stats.tree_sizes) > 1
                         if eos is None:
                             assert len(got) == len(want) == room
                         else:

@@ -9,7 +9,7 @@ import pytest
 from specdec import model as M
 from specdec import tensor as T
 from specdec.errors import ContractError
-from specdec.tree import TokenTree, flatten, tree_attention_mask
+from specdec.tree import TokenTree, tree_attention_mask
 
 
 def micro_config(**kw):
@@ -54,7 +54,7 @@ class TestSameValuesOnBothArms:
         target = M.TargetModel(micro_config(), seed=2)
         prefix = np.random.default_rng(2).integers(0, 32, size=9)
         tree = small_tree()
-        tokens, positions, _ = flatten(tree, len(prefix))
+        tokens, positions = tree.tokens, len(prefix) + tree.depths
 
         def run():
             cache = target.new_cache()

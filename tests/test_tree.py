@@ -1,4 +1,4 @@
-"""Token-tree construction, masks, and flattening against oracles."""
+"""Token-tree construction, child order and masks against oracles."""
 
 import json
 import os
@@ -123,7 +123,7 @@ class TestBuildDraftTree:
             feat = rng.normal(size=cfg.hidden_size).astype(np.float32)
             budget = int(rng.integers(1, 9))
             tree = build(draft, feat, 1, depth=3, expand_k=3, select_m=2, budget=budget)
-            assert tree.num_candidates <= budget
+            assert len(tree) - 1 <= budget
             for i in range(1, len(tree)):
                 parent_joint = tree.joint_probs[tree.parents[i]]
                 assert tree.joint_probs[i] <= parent_joint + 1e-12
@@ -281,42 +281,46 @@ class TestAttentionMask:
             TR.TokenTree([1, 2, 3], [-1, 2, 0], [0, 1, 1])
 
 
-class TestSiblings:
-    def test_children_chain_by_cond_then_token_then_index(self):
-        tree = TR.TokenTree([1, 5, 9, 3, 7], [-1, 0, 0, 0, 1], [0, 1, 1, 1, 2],
-                            [1.0, 0.2, 0.5, 0.5, 0.9])
-        first, nxt = tree.siblings
-        assert first == [3, 4, -1, -1, -1]
-        assert nxt == [-1, -1, 1, 2, -1]
-
-    def test_root_alone(self):
-        assert TR.chain_tree([4]).siblings == ([-1], [-1])
+class TestChildOrder:
+    def test_builder_creates_children_by_cond_then_token(self):
+        # verification tries a node's children in index order: the builder
+        # creates them in descending draft probability, then ascending token id
+        for name, cfg, draft in golden_drafts():
+            rng = np.random.default_rng(len(name))
+            for kw in GOLDEN_PRESETS.values():
+                for _ in range(2):
+                    feat = rng.normal(size=cfg.hidden_size).astype(np.float32)
+                    tree = build(draft, feat, int(rng.integers(cfg.vocab_size)), **kw)
+                    for node in range(len(tree)):
+                        kids = np.flatnonzero(tree.parents == node)
+                        order = np.lexsort((tree.tokens[kids], -tree.cond_probs[kids]))
+                        np.testing.assert_array_equal(order, np.arange(len(kids)))
 
 
 class TestFlatten:
+    """The rows the target scores: ``tree.tokens`` at positions
+    ``prefix + tree.depths``, in parents-first order."""
+
     def test_chain_positions(self):
         tree = TR.chain_tree([7, 8, 9])
-        tokens, positions, parents = TR.flatten(tree, prefix_len=10)
-        np.testing.assert_array_equal(tokens, [7, 8, 9])
-        np.testing.assert_array_equal(positions, [10, 11, 12])
-        np.testing.assert_array_equal(parents, [-1, 0, 1])
+        np.testing.assert_array_equal(tree.tokens, [7, 8, 9])
+        np.testing.assert_array_equal(10 + tree.depths, [10, 11, 12])
+        np.testing.assert_array_equal(tree.parents, [-1, 0, 1])
 
     def test_sibling_positions_equal(self):
         tree = TR.TokenTree([1, 5, 6], [-1, 0, 0], [0, 1, 1])
-        _, positions, _ = TR.flatten(tree, prefix_len=4)
-        np.testing.assert_array_equal(positions, [4, 5, 5])
+        np.testing.assert_array_equal(4 + tree.depths, [4, 5, 5])
+        with pytest.raises(ContractError):
+            TR.TokenTree([1, 5, 6], [-1, 0, 0], [0, 1, 2])
 
     def test_round_trip_reconstruction(self):
         rng = np.random.default_rng(8)
         for _ in range(20):
             tree = random_tree(rng, 12)
-            tokens, positions, parents = TR.flatten(tree, prefix_len=3)
-            rebuilt_depth = np.zeros(len(tokens), dtype=int)
-            for i in range(1, len(tokens)):
-                rebuilt_depth[i] = rebuilt_depth[parents[i]] + 1
-            np.testing.assert_array_equal(rebuilt_depth + 3, positions)
-            np.testing.assert_array_equal(tree.tokens, tokens)
-            np.testing.assert_array_equal(tree.parents, parents)
+            rebuilt_depth = np.zeros(len(tree), dtype=int)
+            for i in range(1, len(tree)):
+                rebuilt_depth[i] = rebuilt_depth[tree.parents[i]] + 1
+            np.testing.assert_array_equal(rebuilt_depth, tree.depths)
 
 
 class TestJsonDump:
