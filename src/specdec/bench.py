@@ -4,8 +4,13 @@ Each cell (task, temperature, variant) decodes the same seeded prompts
 twice — vanilla then speculative — and reports tau (emitted tokens per
 target forward pass) and the wall-clock speedup ratio.  At temperature 0
 the two arms must emit identical token sequences; the harness enforces
-that, so speedup always compares equal work.  Reports are deterministic
-functions of the config and seed except for wall-time-derived fields.
+that, so speedup always compares equal work.  Within one process, reports
+are deterministic functions of the config and seed except for
+wall-time-derived fields.  ``tau``, ``draft_passes`` and ``target_passes``
+also depend on the latency table that ``ModelDrafter`` measures once per
+process for the target (``engine.latency_table``), since that table sizes
+every tree; every variant of one grid shares it, so their ``tau`` differ by
+draft quality alone.
 """
 
 from __future__ import annotations
@@ -28,6 +33,10 @@ from .tokenizer import EOS
 
 @dataclass
 class DraftingConfig(ConfigSection):
+    """Caps on each drafted tree: levels, children per expanded node,
+    nodes expanded per level and candidates verified.  The measured
+    latency table decides how much of each cap a tree uses."""
+
     section = "drafting"
 
     depth: int = 5

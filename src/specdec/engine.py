@@ -31,7 +31,8 @@ import numpy as np
 
 from . import tensor as T
 from .errors import CapacityError, ContractError, NumericError
-from .tree import build_draft_tree, chain_tree, tree_attention_mask
+from .model import DraftModel
+from .tree import LatencyTable, build_draft_tree, chain_tree, tree_attention_mask
 
 
 def step_rng(seed, step):
@@ -129,6 +130,7 @@ class GenerationStats:
         self.emitted = 0
         self.truncated = False
         self.wall_ms = 0.0
+        self.latency = None  # the LatencyTable that sized the trees, if the caller sets it
 
     def record_step(self, accepted, tree_size, draft_passes):
         self.accepted_lengths.append(accepted)
@@ -148,7 +150,66 @@ class GenerationStats:
             "emitted": self.emitted,
             "truncated": self.truncated,
             "wall_ms": self.wall_ms,
+            "latency": self.latency and self.latency.to_dict(),
         }, sort_keys=True)
+
+
+_LATENCY = {}  # target config -> LatencyTable, measured once per process
+LATENCY_ROWS = (1, 8, 64)
+LATENCY_PREFIX = 64
+LATENCY_REPEATS = 7
+
+
+def latency_table(target):
+    """The ``LatencyTable`` of ``target``, measured on the first call for
+    its config and reused after, by every draft of that target."""
+    key = json.dumps(target.config.to_dict(), sort_keys=True)
+    if key not in _LATENCY:
+        _LATENCY[key] = measure_latency(target)
+    return _LATENCY[key]
+
+
+def measure_latency(target):
+    """The median of ``LATENCY_REPEATS`` timings of a target verify forward
+    and of a draft pass of each of ``LATENCY_ROWS`` rows, on random inputs,
+    against caches of ``LATENCY_PREFIX`` rows.
+
+    The draft is a fresh default-variant ``DraftModel`` of the target's
+    config, so that the table is one function of the target config and
+    every draft variant of an ablation is priced alike (on the benchmark
+    weights, the variants' draft passes differ by up to 20%).
+    """
+    config = target.config
+    draft = DraftModel(config, target, seed=0)
+    prefix = min(LATENCY_PREFIX, config.max_seq_len - 1)
+    rng = np.random.default_rng(0)
+    times = np.empty((LATENCY_REPEATS, 2, len(LATENCY_ROWS)))
+    with T.no_grad():
+        target_cache, draft_cache = target.new_cache(), draft.new_cache()
+        ids = rng.integers(0, config.vocab_size, size=prefix + 1)
+        _, feats = target.forward(ids[:-1], cache=target_cache)
+        draft.forward(feats.data[None], ids[None, 1:], cache=draft_cache)
+        for repeat in range(LATENCY_REPEATS):
+            for j, rows in enumerate(LATENCY_ROWS):
+                ids = rng.integers(0, config.vocab_size, size=rows)
+                feats = rng.normal(size=(1, rows, config.hidden_size)).astype(np.float32)
+                at = np.full(rows, prefix)
+                times[repeat, 0, j] = _timed_ms(target.forward, (ids,), at, target_cache)
+                times[repeat, 1, j] = _timed_ms(draft.forward, (feats, ids[None]), at,
+                                                draft_cache)
+    verify, drafted = np.median(times, axis=0)
+    return LatencyTable(LATENCY_ROWS, verify, drafted)
+
+
+def _timed_ms(forward, inputs, positions, cache):
+    """Milliseconds of one run of ``forward`` over ``inputs``, cut back out
+    of ``cache`` after it."""
+    length = len(cache)
+    start = time.perf_counter()
+    forward(*inputs, positions=positions, cache=cache)
+    elapsed = time.perf_counter() - start
+    cache.truncate(length)
+    return 1000.0 * elapsed
 
 
 class ModelDrafter:
@@ -158,6 +219,10 @@ class ModelDrafter:
     features for committed positions.  The committed rows it still lacks
     ride along in the root's forward pass; the in-flight tree's rows are
     the only speculative ones and are dropped after each proposal.
+
+    Trees are sized by ``latency``, the process's ``latency_table`` for
+    the draft's target; ``depth``, ``expand_k``, ``select_m`` and
+    ``budget`` cap them.
     """
 
     def __init__(self, draft, depth=5, expand_k=8, select_m=8, budget=60):
@@ -166,6 +231,7 @@ class ModelDrafter:
         self.expand_k = expand_k
         self.select_m = select_m
         self.budget = budget
+        self.latency = latency_table(draft.target)
         self.reset()
 
     def reset(self):
@@ -180,7 +246,7 @@ class ModelDrafter:
         tree, passes = build_draft_tree(
             self.draft, features[root], committed[-1],
             depth=min(self.depth, max_depth), expand_k=self.expand_k, select_m=self.select_m,
-            budget=self.budget, cache=self.cache, sync=sync)
+            budget=self.budget, latency=self.latency, cache=self.cache, sync=sync)
         # keep the committed rows up to the root row (a true committed pair)
         self.cache.truncate(root + 1)
         return tree, passes

@@ -277,9 +277,11 @@ def _preamble(config, x, positions, mask, cache):
     """Rotary tables and additive bias for the rows of ``x`` (B, T, hidden).
 
     ``positions`` default to following the cache and ``mask``, a boolean
-    (T, cached + T) visibility, to causal.
+    (T, cached + T) visibility, to causal.  T must be at least 1.
     """
     t = x.shape[1]
+    if t == 0:
+        raise ContractError("a forward pass needs at least one row")
     past = len(cache) if cache is not None else 0
     positions = np.arange(past, past + t) if positions is None else np.asarray(positions)
     if positions.max(initial=0) >= config.max_seq_len:

@@ -1,15 +1,35 @@
-"""Dynamic token-tree drafting.
+"""Dynamic token-tree drafting, sized by measured cost.
 
 The draft model expands candidate continuations level by level: at each
-level the highest-joint-probability frontier nodes each propose their
-top-k next tokens, and after the final level the candidate pool is cut
-down to the best N nodes by joint probability.  Because a child's joint
-probability never exceeds its parent's, and ties prefer the shallower
-node, the top-N prefix of the global ranking is automatically
-ancestor-closed.
+level the best new nodes each propose their top-k next tokens.  All
+candidates share one global ranking: joint draft probability descending,
+then shallower depth, then smaller token id, then creation order, which
+keeps runs bit-reproducible.  Because a child's joint probability never
+exceeds its parent's, and ties prefer the shallower node, every top-N
+prefix of that ranking is ancestor-closed.
 
-Ordering ties are broken by (shallower depth, smaller token id, creation
-order), which keeps runs bit-reproducible.
+How many nodes are drafted and verified follows a ``LatencyTable`` of
+target-verify and draft-pass milliseconds by row count.  A node's joint
+draft probability stands for its chance of being accepted, so a tree of
+N candidates is worth ``1 + (their summed joint)`` expected tokens (the
+bonus token included) for the draft time spent plus ``verify_ms(N + 1)``.
+The draft time starts at ``draft_ms(1)`` for the root pass, whatever
+committed rows ride along in it: those are owed whatever the tree.
+After each level:
+
+* the current cut is the top-N prefix, N <= ``budget``, with the most
+  expected tokens per millisecond;
+* the best m <= ``select_m`` new nodes are expanded, for the m whose
+  optimistic bound (their summed joint as gain, for ``draft_ms(m)`` more
+  draft time and ``verify_ms(N + 1 + m)``) is highest, as long as that
+  bound is at least the current cut's rate; otherwise drafting stops.
+
+The final cut is what the target verifies.  Ties go to the larger tree,
+both for the cut and for m.  With a table that charges only a constant
+verify cost, ``FIXED_BUDGET`` (the default), the rule expands the best
+``select_m`` new nodes at every level and keeps exactly the top
+``budget`` candidates.  ``depth``, ``expand_k``, ``select_m`` and
+``budget`` are caps in every case.
 
 The pool and the resulting ``TokenTree`` are parallel numpy arrays, one
 entry per node with the root at index 0: token ids, parent indices (-1 at
@@ -78,8 +98,34 @@ class TokenTree:
                    [r["joint_prob"] for r in raw])
 
 
+class LatencyTable:
+    """Target-verify and draft-pass milliseconds by row count.
+
+    Measured at a few row counts ``rows`` and interpolated once, linearly,
+    into two arrays indexed by row count up to the last measured one,
+    ``verify_ms`` and ``draft_ms``.  The builder prices a count past the
+    end as the last entry.
+    """
+
+    def __init__(self, rows, verify_ms, draft_ms):
+        self.rows = [int(r) for r in rows]
+        self.measured = {"verify_ms": [float(v) for v in verify_ms],
+                         "draft_ms": [float(d) for d in draft_ms]}
+        grid = np.arange(self.rows[-1] + 1)
+        self.verify_ms = np.interp(grid, self.rows, self.measured["verify_ms"])
+        self.draft_ms = np.interp(grid, self.rows, self.measured["draft_ms"])
+
+    def to_dict(self):
+        return {"rows": self.rows, **self.measured}
+
+
+# a constant verify cost and free draft passes: every level expands
+# ``select_m`` nodes and the cut keeps ``budget`` candidates
+FIXED_BUDGET = LatencyTable([1], [1.0], [0.0])
+
+
 def build_draft_tree(draft, root_feature, root_token, *, depth, expand_k, select_m,
-                     budget, cache=None, sync=None):
+                     budget, latency=FIXED_BUDGET, cache=None, sync=None):
     """Expand a candidate token tree from the last committed position.
 
     ``root_feature`` is the target feature at the last position the
@@ -93,6 +139,10 @@ def build_draft_tree(draft, root_feature, root_token, *, depth, expand_k, select
 
     Each node's children come in descending draft probability, then
     ascending token id: the order in which verification tries them.
+
+    ``latency`` (a ``LatencyTable``) prices the draft passes and the verify
+    pass; see the module docstring for the rule.  The root pass counts as
+    one row whatever sync rows ride along, since those are owed anyway.
 
     Returns (tree, draft_forward_passes).
     """
@@ -112,6 +162,9 @@ def build_draft_tree(draft, root_feature, root_token, *, depth, expand_k, select
     out = draft.forward(feats[None], [ids], cache=cache)
     prefix = len(cache) - 1   # the root's row and position; every key before it is committed
     passes = 1
+    verify_ms = np.take(latency.verify_ms, np.arange(budget + select_m + 2), mode="clip")
+    draft_ms = np.take(latency.draft_ms, np.arange(select_m + 1), mode="clip")
+    spent = float(draft_ms[1])  # draft ms so far: the root pass
 
     cap = 1 + depth * select_m * expand_k
     tokens = np.empty(cap, dtype=np.int64)
@@ -140,9 +193,20 @@ def build_draft_tree(draft, root_feature, root_token, *, depth, expand_k, select
         tokens[new], parents[new], depths[new] = top[keep], kids, level
         cond[new], joint[new] = p, joint[kids] * p
         n += len(p)
+        order = 1 + _rank(slice(1, n), tokens, depths, joint)[:budget]
+        size, rate, gain = _best_cut(joint[order], spent, verify_ms)
         if level == depth or not len(p):
             break
-        expand = new.start + _rank(new, tokens, depths, joint)[:select_m]
+        # the optimistic bound of expanding the best 1, 2, ... new nodes
+        best = new.start + _rank(new, tokens, depths, joint)[:select_m]
+        widths = np.arange(1, len(best) + 1)
+        bound = (1.0 + gain + np.cumsum(joint[best])) / (
+            spent + draft_ms[widths] + verify_ms[size + 1 + widths])
+        m = _last_argmax(bound)
+        if bound[m] < rate:
+            break
+        expand = best[:m + 1]
+        spent += draft_ms[m + 1]
         key_of[expand] = keys = len(cache) - prefix + np.arange(len(expand))
         _inherit_visibility(sees, expand, parents, keys)
         allowed = np.ones((len(expand), len(cache) + len(expand)), dtype=bool)
@@ -154,8 +218,8 @@ def build_draft_tree(draft, root_feature, root_token, *, depth, expand_k, select
         carry[keys] = out.next_feature.data[0]
         dist = T.KERNELS.softmax(out.logits.data[0])
 
-    # the root and the best candidates, in creation order, which is topological
-    keep = np.concatenate([[0], np.sort(1 + _rank(slice(1, n), tokens, depths, joint)[:budget])])
+    # the root and the cut, in creation order, which is topological
+    keep = np.concatenate([[0], np.sort(order[:size])])
     index_of = np.full(n, -1)
     index_of[keep] = np.arange(len(keep))
     kept_parents = index_of[parents[keep]]
@@ -164,6 +228,21 @@ def build_draft_tree(draft, root_feature, root_token, *, depth, expand_k, select
         raise ContractError("top-N selection broke ancestor closure")
     return TokenTree(tokens[keep], kept_parents, depths[keep], cond[keep], joint[keep],
                      carry[key_of[keep]]), passes
+
+
+def _best_cut(ranked_joint, spent, verify_ms):
+    """(N, rate, gain) of the top-N prefix of the ranked candidates with the
+    most expected tokens, 1 + ``gain`` (their summed joint), per millisecond
+    of ``spent`` plus ``verify_ms[N + 1]``; ties go to the larger N."""
+    gain = np.zeros(len(ranked_joint) + 1)
+    np.cumsum(ranked_joint, out=gain[1:])
+    rate = (1.0 + gain) / (spent + verify_ms[1:len(gain) + 1])
+    size = _last_argmax(rate)
+    return size, rate[size], gain[size]
+
+
+def _last_argmax(values):
+    return len(values) - 1 - int(np.argmax(values[::-1]))
 
 
 def _rank(nodes, tokens, depths, joint):

@@ -54,9 +54,12 @@ def enumerate_beam_pool(draft, root_feature, root_token, depth, expand_k, select
     Nodes are dicts {token, parent, depth, cond, joint, order} where
     ``parent`` indexes this pool (-1 for children of the root) and
     ``order`` is creation order aligned with the production builder's
-    level-by-level, parent-by-parent expansion.
+    level-by-level, parent-by-parent expansion.  ``select_m`` is the number
+    of nodes expanded at every level after the first, or a list of those
+    numbers, one per level.
     """
     pool = []
+    widths = [1] + ([select_m] * (depth - 1) if isinstance(select_m, int) else list(select_m))
 
     def path_tokens(idx):
         toks = []
@@ -67,7 +70,7 @@ def enumerate_beam_pool(draft, root_feature, root_token, depth, expand_k, select
 
     frontier = [-1]  # -1 denotes the root
     joint_of = {-1: 1.0}
-    for _ in range(depth):
+    for level in range(depth):
         scored = []
         for idx in frontier:
             if idx == -1:
@@ -76,7 +79,7 @@ def enumerate_beam_pool(draft, root_feature, root_token, depth, expand_k, select
                 n = pool[idx]
                 key = (-n["joint"], n["depth"], n["token"], idx)
             scored.append((key, idx))
-        expand = [idx for _, idx in sorted(scored)[:select_m]]
+        expand = [idx for _, idx in sorted(scored)[:widths[level]]]
         new_frontier = []
         for idx in expand:
             chain = path_tokens(idx)
@@ -123,6 +126,56 @@ def best_closed_subset(pool, budget):
         if s > best_sum or (s == best_sum and keys(subset) < keys(best)):
             best, best_sum = subset, s
     return set(best) if best is not None else set()
+
+
+def best_rate_subset(pool, budget, spent, verify_ms):
+    """(subset, rate, gain) of the ancestor-closed subset of at most
+    ``budget`` nodes with the most expected tokens, 1 + ``gain`` (its summed
+    joint), per millisecond of ``spent`` plus ``verify_ms[size + 1]``, by
+    ``best_closed_subset`` at every size; ties go to the larger subset."""
+    best = (None, -1.0, 0.0)
+    for size in range(min(budget, len(pool)) + 1):
+        subset = best_closed_subset(pool, size)
+        gain = sum(pool[i]["joint"] for i in subset)
+        rate = (1.0 + gain) / (spent + verify_ms[size + 1])
+        if rate >= best[1]:
+            best = (subset, rate, gain)
+    return best
+
+
+def cost_aware_pool(draft, root_feature, root_token, depth, expand_k, select_m, budget,
+                    latency):
+    """The pool and verified subset the cost-aware rule picks, by brute force.
+
+    The pool grows one level at a time through ``enumerate_beam_pool``.
+    After each level the best cut comes from ``best_rate_subset``; the m
+    best newest nodes (m <= ``select_m``) with the highest optimistic
+    bound, (1 + cut gain + their summed joint) per millisecond of the
+    draft time spent plus ``draft_ms[m]`` plus ``verify_ms[cut + 1 + m]``,
+    are expanded when that bound reaches the cut's rate (ties to the larger
+    m).  Returns (pool, subset, widths), ``widths`` being the number of
+    nodes expanded at each level after the first.
+    """
+    widths = []
+    spent = latency.draft_ms[1]                     # the root pass, one row
+    while True:
+        level = len(widths) + 1
+        pool = enumerate_beam_pool(draft, root_feature, root_token, level, expand_k, widths)
+        subset, rate, gain = best_rate_subset(pool, budget, spent, latency.verify_ms)
+        newest = sorted((-n["joint"], n["depth"], n["token"], n["order"])
+                        for n in pool if n["depth"] == level)[:select_m]
+        if level == depth or not newest:
+            return pool, subset, widths
+        best_m, best_bound = 0, -1.0
+        for m in range(1, len(newest) + 1):
+            bound = (1.0 + gain + sum(-key[0] for key in newest[:m])) / (
+                spent + latency.draft_ms[m] + latency.verify_ms[len(subset) + 1 + m])
+            if bound >= best_bound:
+                best_m, best_bound = m, bound
+        if best_bound < rate:
+            return pool, subset, widths
+        widths.append(best_m)
+        spent += latency.draft_ms[best_m]
 
 
 def node_signature(pool, subset):

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from specdec import cli
+from specdec import tree as TR
 
 
 TINY_CONFIG = {
@@ -46,7 +47,10 @@ class TestEndToEnd:
         rc = cli.main(["generate", "--config", cfg, "--out", out,
                        "--prompt", "the fox watches", "--max-new", "6"])
         assert rc == 0
-        assert capsys.readouterr().out.strip() != ""
+        captured = capsys.readouterr()
+        assert captured.out.strip() != ""
+        stats = json.loads(captured.err.split("stats ", 1)[1].splitlines()[0])
+        assert stats["latency"] == TR.FIXED_BUDGET.to_dict()   # the table the drafter used
 
     def test_bench_writes_reports(self, tiny_run):
         import os

@@ -1,12 +1,15 @@
 """Verification and generation-loop tests: losslessness, commit integrity,
 acceptance ceilings."""
 
+import json
+
 import numpy as np
 import pytest
 
 from specdec import engine as E
 from specdec import model as M
 from specdec import tensor as T
+from specdec import tree as TR
 from specdec.errors import CapacityError, ContractError
 from specdec.tree import TokenTree, chain_tree
 
@@ -17,6 +20,11 @@ def micro_stack(seed, vocab=32, hidden=16, intermediate=24, layers=2, max_seq=12
     target = M.TargetModel(cfg, seed=seed)
     draft = M.DraftModel(cfg, target, variant="fspad", seed=seed + 1)
     return cfg, target, draft
+
+
+def pin_latency(monkeypatch, table):
+    """Every ModelDrafter made from now on sizes its trees by ``table``."""
+    monkeypatch.setattr(E, "latency_table", lambda target: table)
 
 
 def two_level_tree(root, children, grandchildren=()):
@@ -476,6 +484,66 @@ class TestContextEdge:
         want, _ = E.vanilla_generate(target, prompt, 10)
         assert got == want
         assert min(stats.tree_sizes) > 1
+
+
+    @pytest.mark.measured_latency
+    def test_steep_table_verifies_tiny_trees_losslessly(self, monkeypatch):
+        # verify rows so dear that most steps verify the root alone or one node
+        pin_latency(monkeypatch, TR.LatencyTable([1, 2, 64], [1.0, 1.2, 12.0], [0.1] * 3))
+        cfg, target, draft = micro_stack(320, max_seq=24)
+        target.head.weight.data *= 12.0   # a peaked draft, so that some nodes pay
+        engine = E.SpeculativeEngine(
+            target, E.ModelDrafter(draft, depth=5, expand_k=2, select_m=2, budget=12))
+        rng = np.random.default_rng(320)
+        sizes = []
+        for length in range(1, cfg.max_seq_len):
+            prompt = rng.integers(0, cfg.vocab_size, size=length).tolist()
+            for max_new in (3, 2 * cfg.max_seq_len):
+                want, want_stats = E.vanilla_generate(target, prompt, max_new)
+                got, stats = engine.generate(prompt, max_new)
+                assert got == want and stats.truncated == want_stats.truncated
+                sizes += stats.tree_sizes
+
+                kw = dict(temperature=0.8, seed=length)
+                want, want_stats = E.vanilla_generate(target, prompt, max_new, **kw)
+                got, stats = engine.generate(prompt, max_new, **kw)
+                assert len(got) == len(want) == min(max_new, cfg.max_seq_len - length)
+                assert stats.truncated == want_stats.truncated
+                sizes += stats.tree_sizes
+        counts = np.bincount(sizes)
+        assert counts[1] and counts[2] and len(counts) > 3
+
+
+@pytest.mark.measured_latency
+class TestLatencyTable:
+    def test_measured_once_per_target_config(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(E, "_LATENCY", {})
+        measure = E.measure_latency
+        monkeypatch.setattr(E, "measure_latency",
+                            lambda target: calls.append(1) or measure(target))
+        cfg, target, draft = micro_stack(330)
+        first = E.ModelDrafter(draft).latency
+        assert E.ModelDrafter(M.DraftModel(cfg, M.TargetModel(cfg, seed=1), seed=2)).latency is first
+        # every draft variant of the target shares its table
+        assert E.ModelDrafter(M.DraftModel(cfg, target, variant="no_fs", seed=3)).latency is first
+        assert len(calls) == 1
+        other_cfg, other_target, other_draft = micro_stack(331, max_seq=64)
+        assert E.ModelDrafter(other_draft).latency is not first and len(calls) == 2
+        assert first.rows == list(E.LATENCY_ROWS)
+        assert all(v > 0 for v in first.measured["verify_ms"] + first.measured["draft_ms"])
+        assert len(first.verify_ms) == len(first.draft_ms) == E.LATENCY_ROWS[-1] + 1
+
+    def test_stats_record_the_table_the_caller_sets(self, monkeypatch):
+        table = TR.LatencyTable([1, 8, 64], [1.0, 1.5, 5.0], [0.3, 0.4, 1.0])
+        pin_latency(monkeypatch, table)
+        cfg, target, draft = micro_stack(332)
+        drafter = E.ModelDrafter(draft)
+        assert drafter.latency is table
+        _, stats = E.SpeculativeEngine(target, drafter).generate([1, 2, 3], 6)
+        assert json.loads(stats.to_json())["latency"] is None
+        stats.latency = drafter.latency
+        assert json.loads(stats.to_json())["latency"] == table.to_dict()
 
 
 class TestStepRng:

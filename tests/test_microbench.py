@@ -72,6 +72,16 @@ def test_build_draft_tree_default_preset(benchmark, stack):
     assert len(tree) == DraftingConfig().budget + 1 and passes == DraftingConfig().depth
 
 
+@pytest.mark.measured_latency
+def test_build_draft_tree_measured_table(benchmark, stack):
+    # the default preset's caps, sized by this process's measured table
+    config, _, draft = stack
+    args, kw = default_preset_tree(draft, config)
+    kw["latency"] = E.latency_table(draft.target)
+    tree, passes = benchmark.pedantic(build_draft_tree, args=args, kwargs=kw, rounds=5)
+    assert len(tree) <= DraftingConfig().budget + 1 and 1 <= passes <= DraftingConfig().depth
+
+
 @pytest.mark.parametrize("walk", ["greedy", "stochastic"])
 def test_verify_walk_default_preset(benchmark, stack, walk):
     config, _, draft = stack

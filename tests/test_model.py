@@ -123,6 +123,21 @@ class TestTargetForward:
         with pytest.raises(CapacityError):
             target.forward(np.array([1, 2, 3, 4, 5]))
 
+    def test_empty_input_is_contract_error(self):
+        cfg = micro_config()
+        target = M.TargetModel(cfg, seed=7)
+        draft = M.DraftModel(cfg, target, seed=8)
+        empty = np.array([], dtype=np.int64)
+        calls = (lambda: target.forward(empty),
+                 lambda: target.forward(empty, cache=target.new_cache()),
+                 lambda: target.forward(empty[None]),
+                 lambda: draft.forward(np.zeros((1, 0, 16), np.float32), empty[None]),
+                 lambda: draft.forward(np.zeros((1, 0, 16), np.float32), empty[None],
+                                       cache=draft.new_cache()))
+        for call in calls:
+            with pytest.raises(ContractError, match="at least one row"):
+                call()
+
 
 class TestFeatureSampler:
     def test_zero_down_projection_is_identity(self):

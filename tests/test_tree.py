@@ -66,7 +66,7 @@ def golden_drafts():
         yield name, cfg, draft
 
 
-def golden_trees():
+def golden_trees(**extra):
     """``TokenTree.to_json`` of every golden case, keyed draft/preset/root."""
     out = {}
     for name, cfg, draft in golden_drafts():
@@ -75,7 +75,7 @@ def golden_trees():
             for r in range(2):
                 feat = rng.normal(size=cfg.hidden_size).astype(np.float32)
                 token = int(rng.integers(cfg.vocab_size))
-                out[f"{name}/{preset}/{r}"] = build(draft, feat, token, **kw).to_json()
+                out[f"{name}/{preset}/{r}"] = build(draft, feat, token, **kw, **extra).to_json()
     return out
 
 
@@ -178,6 +178,81 @@ class TestGoldenTrees:
         assert sorted(got) == sorted(want)
         for key in want:
             assert got[key] == want[key], key
+
+
+class RowRecorder:
+    """A draft that records how many rows each forward pass takes."""
+
+    def __init__(self, draft):
+        self.draft = draft
+        self.rows = []
+
+    def new_cache(self):
+        return self.draft.new_cache()
+
+    def forward(self, feats, tokens, **kw):
+        self.rows.append(np.shape(tokens)[1])
+        return self.draft.forward(feats, tokens, **kw)
+
+
+class TestCostAwareCut:
+    """Trees sized by a latency table: the verified tree is the subset of
+    the expanded pool with the most expected tokens per millisecond."""
+
+    @staticmethod
+    def random_table(rng):
+        verify = np.cumsum(rng.uniform(0.05, 2.0, size=3))   # monotone in rows
+        drafted = np.cumsum(rng.uniform(0.0, 2.0, size=3))
+        return TR.LatencyTable([1, 8, 64], verify, drafted)
+
+    def test_matches_rate_maximising_subset_oracle(self):
+        mismatches, cut, stopped = [], 0, 0
+        for seed in range(100):
+            rng = np.random.default_rng(700 + seed)
+            cfg, target, draft = micro_draft(800 + seed, vocab=int(rng.integers(6, 17)))
+            target.head.weight.data *= rng.uniform(1.0, 80.0)   # from flat to peaked drafts
+            depth, k, m = (int(x) for x in rng.integers(1, 4, size=3))
+            budget = int(rng.integers(1, 7))
+            table = self.random_table(rng)
+            feat = rng.normal(size=cfg.hidden_size).astype(np.float32)
+            root_token = int(rng.integers(0, cfg.vocab_size))
+            recorder = RowRecorder(draft)
+            tree = build(recorder, feat, root_token, depth=depth, expand_k=k, select_m=m,
+                         budget=budget, latency=table)
+            with T.no_grad():
+                pool, best, widths = oracles.cost_aware_pool(draft, feat, root_token, depth, k,
+                                                             m, budget, table)
+            if (recorder.rows != [1] + widths
+                    or oracles.tree_signature(tree) != oracles.node_signature(pool, best)):
+                mismatches.append(seed)
+            cut += len(tree) - 1 < min(budget, len(pool))
+            stopped += len(recorder.rows) < depth
+        assert not mismatches
+        assert cut and stopped   # the table did shrink some trees and stop some drafts
+
+    def test_ties_go_to_the_larger_tree(self):
+        # certain draft tokens and a verify cost of one per row: every cut and
+        # every expansion yields exactly the same rate, one token per ms
+        linear = TR.LatencyTable([1, 64], [1.0, 64.0], [0.0, 0.0])
+        tree = build(OneHotStubDraft(vocab=16, tok=5), np.zeros(8, dtype=np.float32), 2,
+                     depth=4, expand_k=2, select_m=2, budget=3, latency=linear)
+        assert tree.depths.tolist() == [0, 1, 2, 3]
+
+    def test_constant_verify_table_reproduces_recorded_trees(self):
+        # a constant verify cost and free draft passes: today's fixed-budget trees
+        constant = TR.LatencyTable([1, 8, 64], [2.5, 2.5, 2.5], [0.0, 0.0, 0.0])
+        with open(GOLDEN, encoding="utf-8") as f:
+            want = json.load(f)
+        assert golden_trees(latency=constant) == want
+
+    def test_table_interpolates(self):
+        table = TR.LatencyTable([1, 8, 64], [1.0, 2.4, 13.6], [0.5, 0.5, 1.9])
+        rows = np.arange(1, 65)
+        assert len(table.verify_ms) == len(table.draft_ms) == 65
+        np.testing.assert_allclose(table.verify_ms[rows], 0.8 + 0.2 * rows)
+        np.testing.assert_allclose(table.draft_ms[8:], 0.5 + 0.025 * (np.arange(8, 65) - 8))
+        assert table.to_dict() == {"rows": [1, 8, 64], "verify_ms": [1.0, 2.4, 13.6],
+                                   "draft_ms": [0.5, 0.5, 1.9]}
 
 
 class TestTopK:
