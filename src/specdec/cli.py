@@ -171,10 +171,10 @@ def cmd_generate(args):
     ids = tok.encode(args.prompt, add_bos=True)
     out, stats = engine.generate(ids, args.max_new, temperature=args.temperature,
                                  seed=cfg.training.seed, eos_id=TK.EOS)
-    stats.latency = drafter.latency
     print(tok.decode(out))
     _say(f"tau {stats.tau():.2f} over {stats.target_passes} target passes; "
          f"stats {stats.to_json()}")
+    _say(f"latency {json.dumps(drafter.latency.to_dict(), sort_keys=True)}")
     return EXIT_OK
 
 

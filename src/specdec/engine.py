@@ -130,7 +130,6 @@ class GenerationStats:
         self.emitted = 0
         self.truncated = False
         self.wall_ms = 0.0
-        self.latency = None  # the LatencyTable that sized the trees, if the caller sets it
 
     def record_step(self, accepted, tree_size, draft_passes):
         self.accepted_lengths.append(accepted)
@@ -150,7 +149,6 @@ class GenerationStats:
             "emitted": self.emitted,
             "truncated": self.truncated,
             "wall_ms": self.wall_ms,
-            "latency": self.latency and self.latency.to_dict(),
         }, sort_keys=True)
 
 
@@ -343,7 +341,7 @@ def _admit(prompt, temperature, max_len):
 
 
 def _temperature_probs(logits, temperature):
-    return T.softmax64(logits.astype(np.float64) / temperature)
+    return T.KERNELS.softmax(logits.astype(np.float64) / temperature)
 
 
 def _sample(p, rng):

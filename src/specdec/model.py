@@ -45,6 +45,8 @@ class ConfigSection:
 
     @classmethod
     def from_dict(cls, d):
+        if not isinstance(d, dict):
+            raise ConfigError(f"{cls.section} config must be a JSON object, got {type(d).__name__}")
         unknown = set(d) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown {cls.section} config keys: {sorted(unknown)}")
@@ -566,6 +568,8 @@ def load_checkpoint(path, target=None):
             meta = json.loads(_read_exact(f, json_len, "config JSON").decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as e:
             raise CheckpointFormatError(f"unreadable config JSON: {e}") from e
+        if not isinstance(meta, dict) or not isinstance(meta.get("config", {}), dict):
+            raise CheckpointFormatError("checkpoint metadata and its config must be JSON objects")
         config = ModelConfig.from_dict(meta.get("config", {}))
         kind = meta.get("kind")
         if kind == "target":

@@ -58,20 +58,6 @@ class Tensor:
     def item(self):
         return float(self.data.reshape(-1)[0])
 
-    def numpy(self):
-        return self.data
-
-    def detach(self):
-        """A view of the same storage, off the tape."""
-        out = Tensor.__new__(Tensor)
-        out.data = self.data
-        out.requires_grad = False
-        out.grad = None
-        return out
-
-    def zero_grad(self):
-        self.grad = None
-
     def accumulate_grad(self, g):
         if g.shape != self.data.shape:
             raise DimensionError(
@@ -81,9 +67,6 @@ class Tensor:
             self.grad = g.astype(self.data.dtype, copy=True)
         else:
             self.grad += g
-
-    def backward(self):
-        backward(self)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
@@ -438,7 +421,7 @@ def _softmax(x, axis=-1):
     if np.isnan(top).any():  # the max of a row holding a NaN is NaN
         raise NumericError("softmax input contains NaN")
     e = np.exp(x - top)
-    return (e / e.sum(axis=axis, keepdims=True, dtype=np.float64)).astype(x.dtype)
+    return (e / e.sum(axis=axis, keepdims=True, dtype=np.float64)).astype(x.dtype, copy=False)
 
 
 def rms_norm(x, weight, eps=1e-5):
@@ -469,13 +452,6 @@ def softmax(x, axis=-1):
         return (y * (g - dot),)
 
     return _record(out, (x,), bw)
-
-
-def softmax64(z):
-    """Softmax over the last axis of a plain array, in float64 (no tape)."""
-    z = np.asarray(z, dtype=np.float64)
-    e = np.exp(z - z.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
 
 
 def _log_softmax64(z):
@@ -533,25 +509,8 @@ def cross_entropy_labels(logits, labels, mask=None):
         raise DimensionError(
             f"labels shape {labels.shape} does not match logits positions {logits.data.shape[:-1]}"
         )
-    m = _prep_mask(mask, labels.shape)
-    count = m.sum()
-    logp = _log_softmax64(logits.data)
-    picked = np.take_along_axis(logp, labels[..., None], axis=-1)[..., 0]
-    if count == 0:
-        warnings.warn("cross_entropy_labels: every position is masked out; loss is 0")
-        out = Tensor(np.zeros((), dtype=logits.dtype))
-        return _record(out, (logits,), lambda g: (np.zeros_like(logits.data),))
-    out = Tensor(np.asarray(-(picked * m).sum() / count, dtype=logits.dtype))
-    soft = np.exp(logp)
-
-    def bw(g):
-        grad = soft.copy()
-        np.subtract.at(grad.reshape(-1, grad.shape[-1]),
-                       (np.arange(labels.size), labels.reshape(-1)), 1.0)
-        coeff = (m / count)[..., None] * g.reshape(-1)[0]
-        return (grad * coeff,)
-
-    return _record(out, (logits,), bw)
+    one_hot = np.eye(logits.data.shape[-1], dtype=logits.dtype)[labels]
+    return cross_entropy(logits, Tensor(one_hot), mask)
 
 
 def smooth_l1(a, b, mask=None):

@@ -14,7 +14,7 @@ import json
 
 import numpy as np
 
-from .errors import ContractError
+from .errors import CheckpointFormatError, ContractError
 from .model import write_atomic
 
 N_BYTES = 256
@@ -92,8 +92,24 @@ class Tokenizer:
 
     @classmethod
     def load(cls, path):
-        with open(path, "r", encoding="utf-8") as f:
-            return cls(merges=json.load(f)["merges"])
+        """The tokenizer ``save`` wrote to ``path``.  A file that is not such
+        a document, or a merge whose ids are not all below its own new id,
+        raises CheckpointFormatError."""
+        try:
+            with open(path, "r", encoding="utf-8") as f:
+                raw = json.load(f)
+        except (UnicodeDecodeError, json.JSONDecodeError) as e:
+            raise CheckpointFormatError(f"tokenizer file {path} is not valid JSON: {e}") from e
+        merges = raw.get("merges") if isinstance(raw, dict) else None
+        if not isinstance(merges, list):
+            raise CheckpointFormatError(f"tokenizer file {path} has no merges list")
+        for rank, pair in enumerate(merges):
+            new_id = N_BYTES + N_SPECIALS + rank
+            if not (isinstance(pair, list) and len(pair) == 2
+                    and all(isinstance(i, int) and 0 <= i < new_id for i in pair)):
+                raise CheckpointFormatError(
+                    f"tokenizer merge {rank} is {pair!r}, not a pair of ids below {new_id}")
+        return cls(merges=merges)
 
 
 def build_tokenizer(corpus_text, vocab_size):

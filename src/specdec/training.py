@@ -134,7 +134,7 @@ def extract_teacher_trace(target, tokens):
     """Frozen-target features and logits for supervision; no gradients flow."""
     with T.no_grad():
         logits, feats = target.forward(tokens)
-    return feats.data.copy(), logits.data.copy()
+    return feats.data, logits.data
 
 
 def shift_mask(seq_values, response_mask):
@@ -196,7 +196,7 @@ def draft_batch_losses(target, draft, tokens, valid, response, loss_weight):
     (Tensor, Tensor, Tensor, float).
     """
     teacher_feats, teacher_logits = extract_teacher_trace(target, tokens)
-    teacher_probs = T.softmax64(teacher_logits).astype(np.float32)
+    teacher_probs = T.KERNELS.softmax(teacher_logits.astype(np.float64)).astype(np.float32)
 
     probs_s, pair_mask = shift_mask(teacher_probs, response & valid)
     feats_s = teacher_feats[:, 1:]

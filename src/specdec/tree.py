@@ -33,8 +33,9 @@ verify cost, ``FIXED_BUDGET`` (the default), the rule expands the best
 
 The pool and the resulting ``TokenTree`` are parallel numpy arrays, one
 entry per node with the root at index 0: token ids, parent indices (-1 at
-the root), depths, float64 conditional and joint draft probabilities, and
-the draft's carry features.
+the root), depths, and float64 conditional and joint draft probabilities.
+The builder also keeps the draft's carry feature of each expanded node,
+which its children's draft pass reads.
 """
 
 from __future__ import annotations
@@ -52,12 +53,10 @@ class TokenTree:
 
     Verification tries a node's children in index order.  ``parents`` is
     -1 at the root; ``cond_probs`` and ``joint_probs`` (draft probabilities,
-    float64) default to 1.  ``features`` is (n, hidden) with a NaN row for
-    every node the draft never expanded, or None.
+    float64) default to 1.
     """
 
-    def __init__(self, tokens, parents, depths, cond_probs=None, joint_probs=None,
-                 features=None):
+    def __init__(self, tokens, parents, depths, cond_probs=None, joint_probs=None):
         self.tokens = np.asarray(tokens, dtype=np.int64)
         self.parents = np.asarray(parents, dtype=np.int64)
         self.depths = np.asarray(depths, dtype=np.int64)
@@ -76,7 +75,6 @@ class TokenTree:
         self.cond_probs = np.ones(n) if cond_probs is None else np.asarray(cond_probs, np.float64)
         self.joint_probs = (np.ones(n) if joint_probs is None
                             else np.asarray(joint_probs, np.float64))
-        self.features = features
 
     def __len__(self):
         return len(self.tokens)
@@ -88,14 +86,6 @@ class TokenTree:
                  for t, p, d, c, j in zip(self.tokens.tolist(), parents, self.depths.tolist(),
                                           self.cond_probs.tolist(), self.joint_probs.tolist())]
         return json.dumps({"nodes": nodes}, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text):
-        raw = json.loads(text)["nodes"]
-        return cls([r["token"] for r in raw],
-                   [-1 if r["parent"] is None else r["parent"] for r in raw],
-                   [r["depth"] for r in raw], [r["cond_prob"] for r in raw],
-                   [r["joint_prob"] for r in raw])
 
 
 class LatencyTable:
@@ -176,7 +166,7 @@ def build_draft_tree(draft, root_feature, root_token, *, depth, expand_k, select
     # indexes its carry feature; sees[i, r] says key r is node i or an ancestor
     n_keys = 1 + (depth - 1) * select_m
     key_of = np.full(cap, -1)
-    carry = np.full((n_keys + 1, feats.shape[1]), np.nan, dtype=np.float32)  # row -1 stays NaN
+    carry = np.empty((n_keys, feats.shape[1]), dtype=np.float32)
     sees = np.zeros((cap, n_keys), dtype=bool)
     tokens[0], parents[0], depths[0], cond[0], joint[0] = root_token, -1, 0, 1.0, 1.0
     key_of[0], sees[0, 0], carry[0] = 0, True, out.next_feature.data[0, -1]
@@ -226,8 +216,7 @@ def build_draft_tree(draft, root_feature, root_token, *, depth, expand_k, select
     kept_parents[0] = -1
     if (kept_parents[1:] < 0).any():
         raise ContractError("top-N selection broke ancestor closure")
-    return TokenTree(tokens[keep], kept_parents, depths[keep], cond[keep], joint[keep],
-                     carry[key_of[keep]]), passes
+    return TokenTree(tokens[keep], kept_parents, depths[keep], cond[keep], joint[keep]), passes
 
 
 def _best_cut(ranked_joint, spent, verify_ms):

@@ -3,6 +3,7 @@ checkpoint round-trips."""
 
 import builtins
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -341,6 +342,16 @@ class TestCheckpoint:
         raw[idx: idx + len(b'"vocab_size": 32')] = b'"vocab_size": 16'
         path.write_bytes(bytes(raw))
         with pytest.raises(CheckpointFormatError, match="shape"):
+            M.load_checkpoint(path)
+
+    @pytest.mark.parametrize("meta", [b"[]", b'{"config": 5, "kind": "target"}'])
+    def test_metadata_not_an_object(self, tmp_path, meta):
+        path = tmp_path / "t.fspd"
+        M.save_checkpoint(M.TargetModel(micro_config(), seed=23), path)
+        raw = path.read_bytes()
+        (json_len,) = struct.unpack("<I", raw[8:12])
+        path.write_bytes(raw[:8] + struct.pack("<I", len(meta)) + meta + raw[12 + json_len:])
+        with pytest.raises(CheckpointFormatError, match="JSON objects"):
             M.load_checkpoint(path)
 
     def test_draft_requires_target(self, tmp_path):

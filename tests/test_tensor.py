@@ -319,13 +319,6 @@ class TestTapeAndProperties:
             T.mul(x, x)
         assert T.tape_size() == 0
 
-    def test_detached_tensor_never_accumulates(self):
-        x = T.Tensor(np.ones(3), requires_grad=True)
-        d = x.detach()
-        y = T.sum_all(T.mul(d, d))
-        assert not y.requires_grad
-        assert d.grad is None
-
 
 class TestAdamW:
     def test_zero_grad_with_decay_changes_only_by_decay(self):

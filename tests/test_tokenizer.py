@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from specdec import tokenizer as TK
-from specdec.errors import ContractError
+from specdec.errors import CheckpointFormatError, ContractError
 from test_model import fail_writes_halfway
 
 
@@ -124,3 +124,14 @@ class TestPersistence:
         assert os.listdir(tmp_path) == ["tok.json"]  # no temp file left behind
         assert path.read_bytes() == before
         assert TK.Tokenizer.load(path).merges == tok.merges
+
+    @pytest.mark.parametrize("text", ['{"merges": [[104, 105], [258',   # truncated
+                                      '{"merge": []}',                   # no merges
+                                      '{"merges": [[999, 2]]}',          # id not yet made
+                                      '{"merges": [[104, 258]]}',        # its own id
+                                      '[[104, 105]]'])                   # not an object
+    def test_malformed_file_rejected(self, tmp_path, text):
+        path = tmp_path / "tok.json"
+        path.write_text(text)
+        with pytest.raises(CheckpointFormatError):
+            TK.Tokenizer.load(path)

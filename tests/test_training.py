@@ -190,7 +190,7 @@ class TestDraftTraining:
         target = M.TargetModel(cfg, seed=6)
         tokens, valid, response = TR._pad_batch(corpus.train_docs[:2])
         feats, logits = TR.extract_teacher_trace(target, tokens)
-        probs = T.softmax64(logits).astype(np.float32)
+        probs = T.KERNELS.softmax(logits.astype(np.float64)).astype(np.float32)
         probs_s, pair_mask = TR.shift_mask(probs, response & valid)
         pair_mask = pair_mask & valid[:, :-1]
         feats_s = feats[:, 1:]
