@@ -236,8 +236,3 @@ def emit_plots(reports, out_path):
     _write_csv(out_path, [["task", "variant", "tau"]] +
                [[task, variant, f"{tau:.9f}"] for task, variant, tau in rows])
     return out_path
-
-
-def load_reports(path):
-    with open(path, "r", encoding="utf-8") as f:
-        return [BenchReport(**row) for row in json.load(f)]

@@ -39,17 +39,28 @@ from .tensor import Tensor
 MASK_OFF = -1e9  # additive attention bias for disallowed positions
 
 
+_ACCEPTED = {float: (int, float), tuple: (list, tuple)}
+
+
 class ConfigSection:
     """Mixin for config dataclasses named by ``section``: ``from_dict``
-    rejects undeclared keys."""
+    rejects undeclared keys and values whose type is not the default's
+    (an int passes as a float and a list as a tuple; a bool is no int)."""
 
     @classmethod
     def from_dict(cls, d):
         if not isinstance(d, dict):
             raise ConfigError(f"{cls.section} config must be a JSON object, got {type(d).__name__}")
-        unknown = set(d) - {f.name for f in fields(cls)}
+        declared = {f.name: type(f.default) for f in fields(cls)}
+        unknown = set(d) - set(declared)
         if unknown:
             raise ConfigError(f"unknown {cls.section} config keys: {sorted(unknown)}")
+        for name, value in d.items():
+            kind = declared[name]
+            if not isinstance(value, _ACCEPTED.get(kind, kind)) or \
+                    (isinstance(value, bool) and kind is not bool):
+                raise ConfigError(f"{cls.section}.{name} must be {kind.__name__}, "
+                                  f"got {type(value).__name__} {value!r}")
         return cls(**d)
 
 
@@ -570,16 +581,19 @@ def load_checkpoint(path, target=None):
             raise CheckpointFormatError(f"unreadable config JSON: {e}") from e
         if not isinstance(meta, dict) or not isinstance(meta.get("config", {}), dict):
             raise CheckpointFormatError("checkpoint metadata and its config must be JSON objects")
-        config = ModelConfig.from_dict(meta.get("config", {}))
         kind = meta.get("kind")
-        if kind == "target":
-            model = TargetModel(config, seed=0)
-        elif kind == "draft":
-            if target is None:
-                raise ContractError("loading a draft checkpoint requires the target model")
-            model = DraftModel(config, target, variant=meta.get("variant", "fspad"), seed=0)
-        else:
-            raise CheckpointFormatError(f"unknown checkpoint kind {kind!r}")
+        try:
+            config = ModelConfig.from_dict(meta.get("config", {}))
+            if kind == "target":
+                model = TargetModel(config, seed=0)
+            elif kind == "draft":
+                if target is None:
+                    raise ContractError("loading a draft checkpoint requires the target model")
+                model = DraftModel(config, target, variant=meta.get("variant", "fspad"), seed=0)
+            else:
+                raise CheckpointFormatError(f"unknown checkpoint kind {kind!r}")
+        except ConfigError as e:
+            raise CheckpointFormatError(f"stored {kind} config is invalid: {e}") from e
         expected = model.named_tensors()
         seen = set()
         (count,) = struct.unpack("<I", _read_exact(f, 4, "tensor count"))

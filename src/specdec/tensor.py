@@ -516,30 +516,23 @@ def cross_entropy_labels(logits, labels, mask=None):
 def smooth_l1(a, b, mask=None):
     """Huber-style loss: 0.5*d^2 for |d|<1 else |d|-0.5, mean over masked-in elements.
 
-    ``mask`` covers leading axes; every element under a masked-in
-    position contributes.
+    ``mask`` covers every axis but the last, as in ``cross_entropy``;
+    every element under a masked-in position contributes.
     """
     if a.data.shape != b.data.shape:
         raise DimensionError(f"smooth_l1 operand shapes differ: {a.data.shape} vs {b.data.shape}")
     d = a.data.astype(np.float64) - b.data.astype(np.float64)
     per_elem = np.where(np.abs(d) < 1.0, 0.5 * d * d, np.abs(d) - 0.5)
-    if mask is None:
-        m = np.ones(a.data.shape[:1] if a.data.ndim == 1 else a.data.shape[:-1], dtype=np.float64)
-    else:
-        m = np.asarray(mask).astype(np.float64)
-    if a.data.ndim == m.ndim:
-        mexp = m
-    else:
-        mexp = m.reshape(m.shape + (1,) * (a.data.ndim - m.ndim))
-    count = (mexp * np.ones_like(per_elem)).sum()
+    m = _prep_mask(mask, a.data.shape[:-1])[..., None]
+    count = m.sum() * a.data.shape[-1]
     if count == 0:
         warnings.warn("smooth_l1: every position is masked out; loss is 0")
         out = Tensor(np.zeros((), dtype=a.dtype))
         return _record(out, (a, b), lambda g: (np.zeros_like(a.data), np.zeros_like(b.data)))
-    out = Tensor(np.asarray((per_elem * mexp).sum() / count, dtype=a.dtype))
+    out = Tensor(np.asarray((per_elem * m).sum() / count, dtype=a.dtype))
 
     def bw(g):
-        ga = np.clip(d, -1.0, 1.0) * mexp / count * g.reshape(-1)[0]
+        ga = np.clip(d, -1.0, 1.0) * m / count * g.reshape(-1)[0]
         return (ga, -ga)
 
     return _record(out, (a, b), bw)

@@ -1,16 +1,19 @@
 """Training: target pretraining and draft distillation.
 
-The target trains with plain next-token cross entropy over packed
-windows.  The draft trains teacher-forced: fused rows are built from the
-frozen target's features (one step back) and the true next token's
-embedding; the logit path is supervised by the teacher's shifted
-next-token distribution and the autoregression path by the teacher's
-shifted feature, with prompt-region positions excluded from both.
+Both trainers run one AdamW loop; a divergence raises TrainingError
+with the step index.  The target trains with plain next-token cross
+entropy over packed windows.  The draft trains teacher-forced, in the pass
+evaluation also uses: fused rows are built from the frozen target's
+features (one step back) and the true next token's embedding; the logit
+path is supervised by the teacher's shifted next-token distribution and
+the autoregression path by the teacher's shifted feature, with
+prompt-region positions excluded from both.
 Composite objective: loss_weight * token_loss + feature_loss.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import time
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, ContractError, TrainingError
+from .errors import ConfigError, ContractError, NumericError, TrainingError
 from .model import ConfigSection, DraftModel, ModelConfig, TargetModel
 from .tokenizer import BOS, EOS
 
@@ -98,35 +101,53 @@ def eval_stream_loss(target, stream, seq_len=96, batches=4, seed=123):
     return float(np.mean(losses))
 
 
+def _optimise(params, cfg, steps, batch_loss, label, log_path=None, progress=None):
+    """AdamW from ``cfg`` over ``steps`` batches; ``batch_loss()`` draws
+    one and returns (loss, log fields, progress note).
+
+    A non-finite loss or a NumericError in step k raises TrainingError
+    naming k, after the log is closed with one record per earlier step.
+    """
+    opt = T.AdamW(params, lr=cfg.learning_rate, betas=cfg.adam_betas,
+                  weight_decay=cfg.weight_decay, clip_norm=cfg.grad_clip)
+    with (open(log_path, "w", encoding="utf-8") if log_path else contextlib.nullcontext()) as log:
+        for step in range(steps):
+            t0 = time.perf_counter()
+            T.clear_tape()
+            try:
+                loss, fields, note = batch_loss()
+                if not np.isfinite(loss.item()):
+                    raise NumericError(f"loss is {loss.item()}")
+                opt.zero_grad()
+                T.backward(loss)
+                opt.step()
+            except NumericError as e:
+                raise TrainingError(f"{label} diverged at step {step}: {e}") from e
+            if log:
+                record = {"step": step, **fields, "lr": cfg.learning_rate,
+                          "wall_ms": (time.perf_counter() - t0) * 1000.0}
+                log.write(json.dumps(record, sort_keys=True) + "\n")
+            if progress and (step % 50 == 0 or step + 1 == steps):
+                progress(f"{label} step {step + 1}/{steps} {note}")
+
+
 def pretrain_target(corpus, train_config, model_config, log_path=None, progress=None):
     """Next-token pretraining from random init; returns the target model.
 
-    Raises TrainingError with the step index if the loss turns NaN.
+    Raises TrainingError with the step index if the loss diverges.
     """
     cfg = train_config
     target = TargetModel(model_config, seed=cfg.seed)
-    opt = T.AdamW(target.parameters(), lr=cfg.learning_rate, betas=cfg.adam_betas,
-                  weight_decay=cfg.weight_decay, clip_norm=cfg.grad_clip)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(3,)))
-    log = _JsonlLog(log_path)
-    for step in range(cfg.steps):
-        t0 = time.perf_counter()
-        T.clear_tape()
+
+    def batch_loss():
         w = _sample_windows(corpus.stream, cfg.batch_size, cfg.seq_len + 1, rng)
         logits, _ = target.forward(w[:, :-1])
         loss = T.cross_entropy_labels(logits, w[:, 1:])
         value = loss.item()
-        if not np.isfinite(value):
-            raise TrainingError(f"target pretraining diverged at step {step}")
-        opt.zero_grad()
-        T.backward(loss)
-        opt.step()
-        record = {"step": step, "loss": value, "lr": cfg.learning_rate,
-                  "wall_ms": (time.perf_counter() - t0) * 1000.0}
-        log.write(record)
-        if progress and (step % 50 == 0 or step + 1 == cfg.steps):
-            progress(f"pretrain step {step + 1}/{cfg.steps} loss {value:.3f}")
-    log.close()
+        return loss, {"loss": value}, f"loss {value:.3f}"
+
+    _optimise(target.parameters(), cfg, cfg.steps, batch_loss, "pretrain", log_path, progress)
     return target
 
 
@@ -176,17 +197,13 @@ def target_param_hash(target):
     return h.hexdigest()
 
 
-class _JsonlLog:
-    def __init__(self, path):
-        self.f = open(path, "w", encoding="utf-8") if path else None
-
-    def write(self, record):
-        if self.f:
-            self.f.write(json.dumps(record, sort_keys=True) + "\n")
-
-    def close(self):
-        if self.f:
-            self.f.close()
+def _teacher_forced(target, draft, tokens, valid, response):
+    """Draft output, teacher features, teacher logits and the mask of
+    draft rows i supervised by a response position i + 1."""
+    teacher_feats, teacher_logits = extract_teacher_trace(target, tokens)
+    _, pair_mask = shift_mask(teacher_logits, response & valid)
+    out = draft.forward(teacher_feats[:, :-1], tokens[:, 1:])
+    return out, teacher_feats, teacher_logits, pair_mask & valid[:, :-1]
 
 
 def draft_batch_losses(target, draft, tokens, valid, response, loss_weight):
@@ -195,21 +212,14 @@ def draft_batch_losses(target, draft, tokens, valid, response, loss_weight):
     Returns (loss, token_loss, feature_loss, top1_acc) as
     (Tensor, Tensor, Tensor, float).
     """
-    teacher_feats, teacher_logits = extract_teacher_trace(target, tokens)
-    teacher_probs = T.KERNELS.softmax(teacher_logits.astype(np.float64)).astype(np.float32)
+    out, feats, logits, pair_mask = _teacher_forced(target, draft, tokens, valid, response)
+    probs = T.KERNELS.softmax(logits[:, 1:].astype(np.float64)).astype(np.float32)
 
-    probs_s, pair_mask = shift_mask(teacher_probs, response & valid)
-    feats_s = teacher_feats[:, 1:]
-    pair_mask = pair_mask & valid[:, :-1]
-
-    out = draft.forward(teacher_feats[:, :-1], tokens[:, 1:])
-
-    token_loss = T.cross_entropy(out.logits, T.Tensor(probs_s), pair_mask)
-    feature_loss = T.smooth_l1(out.next_feature, T.Tensor(feats_s), pair_mask)
+    token_loss = T.cross_entropy(out.logits, T.Tensor(probs), pair_mask)
+    feature_loss = T.smooth_l1(out.next_feature, T.Tensor(feats[:, 1:]), pair_mask)
     loss = T.add(T.scale(token_loss, loss_weight), feature_loss)
 
-    agree = (np.argmax(out.logits.data, axis=-1) ==
-             np.argmax(teacher_logits[:, 1:], axis=-1))
+    agree = np.argmax(out.logits.data, axis=-1) == np.argmax(logits[:, 1:], axis=-1)
     top1 = float(agree[pair_mask].mean()) if pair_mask.any() else 0.0
     return loss, token_loss, feature_loss, top1
 
@@ -220,41 +230,28 @@ def train_draft(target, corpus, train_config, variant="fspad", log_path=None, pr
     Only the connector and the draft decoder layer train; the target's
     embedding, head, and final norm are shared read-only.  Per-step log
     records carry the composite loss, both components, and teacher-forced
-    top-1 accuracy (the conflict-between-losses diagnostic).
+    top-1 accuracy (the conflict-between-losses diagnostic).  Raises
+    TrainingError with the step index if the loss diverges.
     """
     cfg = train_config
     target.set_trainable(False)
     draft = DraftModel(target.config, target, variant=variant, seed=cfg.seed + 1)
-    opt = T.AdamW(draft.parameters(), lr=cfg.learning_rate, betas=cfg.adam_betas,
-                  weight_decay=cfg.weight_decay, clip_norm=cfg.grad_clip)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(4,)))
-    log = _JsonlLog(log_path)
     docs = corpus.train_docs
-    for step in range(cfg.draft_steps):
-        t0 = time.perf_counter()
-        T.clear_tape()
+    n = cfg.seq_len + 1
+
+    def batch_loss():
         picks = rng.integers(0, len(docs), size=cfg.batch_size)
         tokens, valid, response = _pad_batch([docs[i] for i in picks])
-        tokens = tokens[:, : cfg.seq_len + 1]
-        valid = valid[:, : cfg.seq_len + 1]
-        response = response[:, : cfg.seq_len + 1]
         loss, token_loss, feature_loss, top1 = draft_batch_losses(
-            target, draft, tokens, valid, response, cfg.loss_weight)
+            target, draft, tokens[:, :n], valid[:, :n], response[:, :n], cfg.loss_weight)
         value = loss.item()
-        if not np.isfinite(value):
-            raise TrainingError(f"draft training diverged at step {step}")
-        opt.zero_grad()
-        T.backward(loss)
-        opt.step()
-        record = {"step": step, "L": value, "L_t": token_loss.item(),
-                  "L_f": feature_loss.item(), "top1_acc": top1,
-                  "lr": cfg.learning_rate,
-                  "wall_ms": (time.perf_counter() - t0) * 1000.0}
-        log.write(record)
-        if progress and (step % 50 == 0 or step + 1 == cfg.draft_steps):
-            progress(f"draft[{variant}] step {step + 1}/{cfg.draft_steps} "
-                     f"L {value:.3f} top1 {top1:.2f}")
-    log.close()
+        fields = {"L": value, "L_t": token_loss.item(), "L_f": feature_loss.item(),
+                  "top1_acc": top1}
+        return loss, fields, f"L {value:.3f} top1 {top1:.2f}"
+
+    _optimise(draft.parameters(), cfg, cfg.draft_steps, batch_loss, f"draft[{variant}]",
+              log_path, progress)
     return draft
 
 
@@ -271,12 +268,8 @@ def eval_draft_accuracy(target, draft, eval_docs, top_k=(1,), max_docs=None):
     total = 0
     with T.no_grad():
         for i in range(0, len(docs), 8):
-            tokens, valid, response = _pad_batch(docs[i: i + 8])
-            teacher_feats, teacher_logits = extract_teacher_trace(target, tokens)
-            out = draft.forward(teacher_feats[:, :-1], tokens[:, 1:])
-            _, pair_mask = shift_mask(teacher_logits, response & valid)
-            pair_mask = pair_mask & valid[:, :-1]
-            teacher_top = np.argmax(teacher_logits[:, 1:], axis=-1)
+            out, _, logits, pair_mask = _teacher_forced(target, draft, *_pad_batch(docs[i: i + 8]))
+            teacher_top = np.argmax(logits[:, 1:], axis=-1)
             order = np.argsort(-out.logits.data, axis=-1, kind="stable")
             for k in top_k:
                 in_top = (order[..., :k] == teacher_top[..., None]).any(axis=-1)

@@ -118,6 +118,15 @@ class TestExitCodes:
         assert cli.main(["generate", "--config", str(cfg), "--out", str(tmp_path / "o"),
                          "--prompt", "x"]) == cli.EXIT_CONFIG
 
+    @pytest.mark.parametrize("section", [{"model": {"hidden_size": "x"}},
+                                         {"training": {"learning_rate": "0.001"}},
+                                         {"model": {"n_layers": True}}])
+    def test_value_of_wrong_type_is_config_error(self, tmp_path, section):
+        cfg = tmp_path / "bad5.json"
+        cfg.write_text(json.dumps(section))
+        assert cli.main(["generate", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                         "--prompt", "x"]) == cli.EXIT_CONFIG
+
     def test_missing_checkpoint_is_io_error(self, tmp_path):
         assert cli.main(["bench", "--out", str(tmp_path / "empty")]) == cli.EXIT_IO
 
@@ -137,6 +146,16 @@ class TestExitCodes:
         shutil.copytree(out, clone)
         raw = (clone / "target.fspd").read_bytes()
         (clone / "target.fspd").write_bytes(raw[:40])
+        assert cli.main(["generate", "--out", str(clone), "--prompt", "x"]) == cli.EXIT_IO
+
+    def test_bad_stored_config_is_io_error(self, tiny_run, tmp_path):
+        import shutil
+        _, out = tiny_run
+        clone = tmp_path / "badcfg"
+        shutil.copytree(out, clone)
+        raw = (clone / "target.fspd").read_bytes()
+        assert raw.count(b'"hidden_size": 16') == 1
+        (clone / "target.fspd").write_bytes(raw.replace(b'"hidden_size": 16', b'"hidden_size": 15'))
         assert cli.main(["generate", "--out", str(clone), "--prompt", "x"]) == cli.EXIT_IO
 
     def test_malformed_tokenizer_is_io_error(self, tiny_run, tmp_path):

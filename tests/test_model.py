@@ -2,6 +2,7 @@
 checkpoint round-trips."""
 
 import builtins
+import json
 import os
 import struct
 
@@ -353,6 +354,27 @@ class TestCheckpoint:
         path.write_bytes(raw[:8] + struct.pack("<I", len(meta)) + meta + raw[12 + json_len:])
         with pytest.raises(CheckpointFormatError, match="JSON objects"):
             M.load_checkpoint(path)
+
+    @pytest.mark.parametrize("kind,edit", [
+        ("target", {"config": {"hidden_size": 15}}),   # not divisible by n_heads
+        ("target", {"config": {"bogus": 1}}),
+        ("draft", {"variant": "nope"}),
+    ])
+    def test_bad_stored_config(self, tmp_path, kind, edit):
+        cfg = micro_config()
+        target = M.TargetModel(cfg, seed=24)
+        path = tmp_path / "m.fspd"
+        M.save_checkpoint(target if kind == "target" else M.DraftModel(cfg, target, seed=25), path)
+        raw = path.read_bytes()
+        (json_len,) = struct.unpack("<I", raw[8:12])
+        meta = json.loads(raw[12: 12 + json_len])
+        for key, value in edit.items():
+            meta[key] = {**meta[key], **value} if isinstance(value, dict) else value
+        blob = json.dumps(meta).encode()
+        path.write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + json_len:])
+        with pytest.raises(CheckpointFormatError, match="config is invalid") as info:
+            M.load_checkpoint(path, target=target)
+        assert isinstance(info.value.__cause__, ConfigError)
 
     def test_draft_requires_target(self, tmp_path):
         cfg = micro_config()

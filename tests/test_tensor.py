@@ -167,6 +167,12 @@ class TestSmoothL1:
         with pytest.raises(DimensionError):
             T.smooth_l1(T.Tensor(np.zeros((2, 3))), T.Tensor(np.zeros((3, 2))))
 
+    @pytest.mark.parametrize("shape,mask_shape", [((2, 3), (3,)), ((2, 4, 3), (2,))])
+    def test_mask_must_cover_every_axis_but_the_last(self, shape, mask_shape):
+        a = T.Tensor(np.zeros(shape))
+        with pytest.raises(DimensionError):
+            T.smooth_l1(a, a, np.ones(mask_shape, dtype=bool))
+
 
 class TestBackward:
     def test_sum_grad_ones(self):

@@ -8,7 +8,7 @@ from specdec import model as M
 from specdec import tensor as T
 from specdec import training as TR
 from specdec import tokenizer as TK
-from specdec.errors import ConfigError, ContractError
+from specdec.errors import ConfigError, ContractError, NumericError, TrainingError
 
 
 def tiny_setup(seed=0, n_docs=60, vocab=300):
@@ -271,6 +271,31 @@ class TestDraftTraining:
         target = M.TargetModel(cfg, seed=12)
         with pytest.raises(ConfigError):
             TR.train_draft(target, corpus, TR.TrainConfig(draft_steps=1), variant="nope")
+
+
+class TestDivergence:
+    @pytest.mark.parametrize("trainer", ["pretrain", "draft"])
+    def test_names_the_step_and_keeps_the_log(self, trainer, tmp_path, monkeypatch):
+        # NaN written into a parameter after the third AdamW step makes
+        # step 3 (0-based) diverge; the log keeps the three steps before it
+        _, tok, cfg, corpus = tiny_setup(n_docs=40)
+        tc = TR.TrainConfig(steps=6, draft_steps=6, batch_size=4, seq_len=32)
+        step = T.AdamW.step
+
+        def poisoned_step(opt):
+            step(opt)
+            if opt.t == 3:
+                opt.params[0].data[...] = np.nan
+
+        monkeypatch.setattr(T.AdamW, "step", poisoned_step)
+        path = tmp_path / "log.jsonl"
+        with pytest.raises(TrainingError, match="at step 3") as info:
+            if trainer == "pretrain":
+                TR.pretrain_target(corpus, tc, cfg, log_path=path)
+            else:
+                TR.train_draft(M.TargetModel(cfg, seed=20), corpus, tc, log_path=path)
+        assert isinstance(info.value.__cause__, NumericError)
+        assert len(path.read_text().splitlines()) == 3
 
 
 class TestEvalAccuracy:
