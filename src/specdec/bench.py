@@ -10,7 +10,8 @@ wall-time-derived fields.  ``tau``, ``draft_passes`` and ``target_passes``
 also depend on the latency table that ``ModelDrafter`` measures once per
 process for the target (``engine.latency_table``), since that table sizes
 every tree; every variant of one grid shares it, so their ``tau`` differ by
-draft quality alone.
+draft quality alone.  ``DraftingConfig`` holds the only defaults of the tree
+caps that ``ModelDrafter`` requires.
 """
 
 from __future__ import annotations
@@ -115,10 +116,9 @@ def _prompt_seed(seed, task, label, index):
 def bench_cell(target, draft, tokenizer, task, temperature, drafting, bench, seed,
                variant=None):
     """One report row: vanilla vs speculative over identical seeded prompts."""
-    variant = variant or getattr(draft, "variant", "unknown")
+    variant = variant or draft.variant
     prompts = task_prompts(task, bench.prompts_per_task, seed=seed)
-    drafter = ModelDrafter(draft, depth=drafting.depth, expand_k=drafting.expand_k,
-                           select_m=drafting.select_m, budget=drafting.budget)
+    drafter = ModelDrafter(draft, **asdict(drafting))
     engine = SpeculativeEngine(target, drafter)
 
     emitted = passes = draft_passes = 0
@@ -228,11 +228,11 @@ def _write_csv(path, rows):
 
 
 def emit_plots(reports, out_path):
-    """Per-task bar-chart series: one (task, variant, tau) row per cell.
+    """Per-task bar-chart series: one (task, temperature, variant, tau) row per cell.
 
     Re-running on the same reports is byte-identical.
     """
-    rows = sorted((r.task, r.variant, r.tau) for r in reports)
-    _write_csv(out_path, [["task", "variant", "tau"]] +
-               [[task, variant, f"{tau:.9f}"] for task, variant, tau in rows])
+    rows = sorted((r.task, r.temperature, r.variant, r.tau) for r in reports)
+    _write_csv(out_path, [["task", "temperature", "variant", "tau"]] +
+               [[*cell, f"{tau:.9f}"] for *cell, tau in rows])
     return out_path

@@ -2,15 +2,17 @@
 
 Subcommands: train-target, train-draft, generate, bench, ablate,
 selftest.  A run directory (--out) accumulates the tokenizer, model
-checkpoints, training logs, and benchmark reports.
+checkpoints, training logs, and benchmark reports.  Each subcommand
+accepts only the flags it reads (``build_parser``); selftest takes none.
 
-Exit codes: 0 ok, 2 config error, 3 checkpoint/IO error,
+Exit codes: 0 ok, 2 usage or config error, 3 checkpoint/IO error,
 4 numeric/training error.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -64,8 +66,8 @@ class AppConfig:
 
 def load_config(args):
     cfg = AppConfig.from_file(args.config) if args.config else AppConfig()
-    if getattr(args, "seed", None) is not None:
-        cfg.training.seed = args.seed
+    if args.seed is not None:  # through the constructor, so its checks run
+        cfg.training = dataclasses.replace(cfg.training, seed=args.seed)
     for flag, attr in (("budget", "budget"), ("topk", "expand_k"), ("depth", "depth")):
         value = getattr(args, flag, None)
         if value is not None:
@@ -91,18 +93,15 @@ def _build_corpus(cfg, progress=None):
     return docs, text
 
 
-def _load_run(out_dir, need_target=True):
+def _load_run(out_dir):
     paths = _run_paths(out_dir)
     if not os.path.exists(paths["tokenizer"]):
         raise CheckpointFormatError(f"no tokenizer at {paths['tokenizer']}; "
                                     f"run train-target first")
     tok = TK.Tokenizer.load(paths["tokenizer"])
-    target = None
-    if need_target:
-        if not os.path.exists(paths["target"]):
-            raise CheckpointFormatError(f"no target checkpoint at {paths['target']}")
-        target = M.load_checkpoint(paths["target"])
-    return tok, target
+    if not os.path.exists(paths["target"]):
+        raise CheckpointFormatError(f"no target checkpoint at {paths['target']}")
+    return tok, M.load_checkpoint(paths["target"])
 
 
 def _load_drafts(out_dir, target, variants):
@@ -129,7 +128,6 @@ def cmd_train_target(args):
         cfg.model.vocab_size = tok.vocab_size
     tok.save(paths["tokenizer"])
     corpus = TR.TokenizedCorpus.build(docs, tok, cfg.model.max_seq_len,
-                                      eval_frac=cfg.training.eval_frac,
                                       seed=cfg.training.seed)
     target = TR.pretrain_target(corpus, cfg.training, cfg.model,
                                 log_path=paths["pretrain_log"], progress=_say)
@@ -146,7 +144,6 @@ def cmd_train_draft(args):
     cfg.model = target.config
     docs, _ = _build_corpus(cfg)
     corpus = TR.TokenizedCorpus.build(docs, tok, cfg.model.max_seq_len,
-                                      eval_frac=cfg.training.eval_frac,
                                       seed=cfg.training.seed)
     paths = _run_paths(args.out)
     draft = TR.train_draft(target, corpus, cfg.training, variant=args.variant,
@@ -163,10 +160,7 @@ def cmd_generate(args):
     cfg = load_config(args)
     tok, target = _load_run(args.out)
     drafts = _load_drafts(args.out, target, [args.variant])
-    drafter = E.ModelDrafter(drafts[args.variant], depth=cfg.drafting.depth,
-                             expand_k=cfg.drafting.expand_k,
-                             select_m=cfg.drafting.select_m,
-                             budget=cfg.drafting.budget)
+    drafter = E.ModelDrafter(drafts[args.variant], **dataclasses.asdict(cfg.drafting))
     engine = E.SpeculativeEngine(target, drafter)
     ids = tok.encode(args.prompt, add_bos=True)
     out, stats = engine.generate(ids, args.max_new, temperature=args.temperature,
@@ -180,10 +174,13 @@ def cmd_generate(args):
 
 def cmd_bench(args):
     cfg = load_config(args)
+    variants = args.variants.split(",") if args.variants else ["fspad"]
+    unknown = sorted(set(variants) - set(M.VARIANTS))
+    if unknown:
+        raise ConfigError(f"unknown draft variants {unknown}; expected some of {M.VARIANTS}")
     tok, target = _load_run(args.out)
     if args.temperature is not None:
         cfg.bench.temperatures = (args.temperature,)
-    variants = args.variants.split(",") if args.variants else ["fspad"]
     drafts = _load_drafts(args.out, target, variants)
     out_path = args.report or os.path.join(args.out, "bench_report.json")
     reports = B.run_bench(target, drafts, tok, cfg.drafting, cfg.bench,
@@ -303,53 +300,52 @@ def build_parser():
                                      description="speculative decoding harness")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, out_default="specdec_run"):
+    def run_flags(p):
         p.add_argument("--config", help="JSON config file (model/training/drafting/bench)")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--out", default=out_default, help="run directory")
-        p.add_argument("--temperature", type=float, default=None)
+        p.add_argument("--out", default="specdec_run", help="run directory")
+
+    def decode_flags(p, temperature=None):
+        run_flags(p)
+        p.add_argument("--temperature", type=float, default=temperature)
         p.add_argument("--budget", type=int, default=None, help="tree node budget")
         p.add_argument("--topk", type=int, default=None, help="children per expansion")
         p.add_argument("--depth", type=int, default=None, help="tree depth")
 
     p = sub.add_parser("train-target", help="build corpus+tokenizer, pretrain the target")
-    common(p)
+    run_flags(p)
     p.set_defaults(fn=cmd_train_target)
 
     p = sub.add_parser("train-draft", help="distill a draft model variant")
-    common(p)
+    run_flags(p)
     p.add_argument("--variant", choices=list(M.VARIANTS), default="fspad")
     p.set_defaults(fn=cmd_train_draft)
 
     p = sub.add_parser("generate", help="speculative generation from a prompt")
-    common(p)
+    decode_flags(p, temperature=0.0)
     p.add_argument("--prompt", required=True)
     p.add_argument("--max-new", type=int, default=48)
     p.add_argument("--variant", choices=list(M.VARIANTS), default="fspad")
     p.set_defaults(fn=cmd_generate)
 
     p = sub.add_parser("bench", help="vanilla vs speculative over task prompts")
-    common(p)
+    decode_flags(p)
     p.add_argument("--variants", help="comma-separated draft variants (default fspad)")
     p.add_argument("--report", help="report JSON path")
     p.set_defaults(fn=cmd_bench)
 
     p = sub.add_parser("ablate", help="4-variant ablation grid")
-    common(p)
+    decode_flags(p)
     p.add_argument("--report", help="report JSON path")
     p.set_defaults(fn=cmd_ablate)
 
     p = sub.add_parser("selftest", help="fast built-in correctness checks")
-    common(p)
     p.set_defaults(fn=cmd_selftest)
     return parser
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    # temperature default differs per command; generate/bench want explicit control
-    if getattr(args, "temperature", None) is None and args.command == "generate":
-        args.temperature = 0.0
     try:
         return args.fn(args)
     except (ConfigError, ContractError) as e:

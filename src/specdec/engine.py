@@ -220,10 +220,10 @@ class ModelDrafter:
 
     Trees are sized by ``latency``, the process's ``latency_table`` for
     the draft's target; ``depth``, ``expand_k``, ``select_m`` and
-    ``budget`` cap them.
+    ``budget`` cap them (``bench.DraftingConfig`` holds their defaults).
     """
 
-    def __init__(self, draft, depth=5, expand_k=8, select_m=8, budget=60):
+    def __init__(self, draft, *, depth, expand_k, select_m, budget):
         self.draft = draft
         self.depth = depth
         self.expand_k = expand_k

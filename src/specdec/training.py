@@ -32,16 +32,12 @@ from .tokenizer import BOS, EOS
 class TrainConfig(ConfigSection):
     section = "training"
 
-    learning_rate: float = 5e-5
-    adam_betas: tuple = (0.9, 0.95)
-    grad_clip: float = 0.5
+    learning_rate: float = 5e-5  # betas, weight decay and clip are AdamW's defaults
     loss_weight: float = 0.1     # weight on the token loss in the composite objective
-    weight_decay: float = 0.0
     batch_size: int = 16
     steps: int = 3000
     draft_steps: int = 2000
     seq_len: int = 96
-    eval_frac: float = 0.05
     seed: int = 0
     corpus_docs: int = 4000
     corpus_seed: int = 1234
@@ -51,7 +47,9 @@ class TrainConfig(ConfigSection):
             raise ConfigError(f"loss_weight must be >= 0, got {self.loss_weight}")
         if self.learning_rate <= 0:
             raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
-        self.adam_betas = tuple(self.adam_betas)
+        for name in ("seed", "corpus_seed"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
 class TokenizedCorpus:
@@ -102,14 +100,13 @@ def eval_stream_loss(target, stream, seq_len=96, batches=4, seed=123):
 
 
 def _optimise(params, cfg, steps, batch_loss, label, log_path=None, progress=None):
-    """AdamW from ``cfg`` over ``steps`` batches; ``batch_loss()`` draws
+    """AdamW at ``cfg.learning_rate`` over ``steps`` batches; ``batch_loss()`` draws
     one and returns (loss, log fields, progress note).
 
     A non-finite loss or a NumericError in step k raises TrainingError
     naming k, after the log is closed with one record per earlier step.
     """
-    opt = T.AdamW(params, lr=cfg.learning_rate, betas=cfg.adam_betas,
-                  weight_decay=cfg.weight_decay, clip_norm=cfg.grad_clip)
+    opt = T.AdamW(params, lr=cfg.learning_rate)
     with (open(log_path, "w", encoding="utf-8") if log_path else contextlib.nullcontext()) as log:
         for step in range(steps):
             t0 = time.perf_counter()

@@ -1,5 +1,6 @@
 """Benchmark harness tests on micro models."""
 
+import dataclasses
 import json
 import os
 
@@ -185,9 +186,19 @@ class TestEmitPlots:
         path = tmp_path / "plot.csv"
         B.emit_plots(reports, path)
         lines = path.read_text().strip().splitlines()
-        assert lines[0] == "task,variant,tau"
+        assert lines[0] == "task,temperature,variant,tau"
         assert len(lines) == 1 + 4
-        assert any("continuation,fspad,2.5" in l for l in lines)
+        assert any("continuation,0.0,fspad,2.5" in l for l in lines)
+
+    def test_temperatures_kept_apart(self, tmp_path):
+        reports = self._fake_reports()
+        hot = [dataclasses.replace(r, temperature=1.0, tau=3.0, tokens_emitted=12)
+               for r in reports if r.task == "copy" and r.variant == "fspad"]
+        path = tmp_path / "plot.csv"
+        B.emit_plots(reports + hot, path)
+        lines = path.read_text().strip().splitlines()
+        assert "copy,0.0,fspad,2.500000000" in lines
+        assert "copy,1.0,fspad,3.000000000" in lines
 
     def test_rerun_byte_identical(self, tmp_path):
         reports = self._fake_reports()

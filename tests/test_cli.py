@@ -1,5 +1,6 @@
 """CLI tests: end-to-end tiny run, config drift protection, exit codes."""
 
+import argparse
 import json
 
 import pytest
@@ -95,9 +96,19 @@ class TestEndToEnd:
 class TestExitCodes:
     def test_unknown_config_key_is_config_error(self, tmp_path):
         cfg = tmp_path / "bad.json"
-        cfg.write_text(json.dumps({"model": {"bogus_knob": 1}}))
+        for section in ({"model": {"bogus_knob": 1}}, {"training": {"grad_clip": 1.0}}):
+            cfg.write_text(json.dumps(section))
+            assert cli.main(["train-target", "--config", str(cfg),
+                             "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG
+
+    @pytest.mark.parametrize("section,flags", [({}, ["--seed", "-1"]),
+                                               ({"training": {"seed": -1}}, []),
+                                               ({"training": {"corpus_seed": -1}}, [])])
+    def test_negative_seed_is_config_error(self, tmp_path, section, flags):
+        cfg = tmp_path / "seed.json"
+        cfg.write_text(json.dumps(section))
         assert cli.main(["train-target", "--config", str(cfg),
-                         "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG
+                         "--out", str(tmp_path / "o")] + flags) == cli.EXIT_CONFIG
 
     def test_unknown_section_is_config_error(self, tmp_path):
         cfg = tmp_path / "bad2.json"
@@ -126,6 +137,11 @@ class TestExitCodes:
         cfg.write_text(json.dumps(section))
         assert cli.main(["generate", "--config", str(cfg), "--out", str(tmp_path / "o"),
                          "--prompt", "x"]) == cli.EXIT_CONFIG
+
+    def test_unknown_bench_variant_is_config_error(self, tiny_run):
+        cfg, out = tiny_run
+        assert cli.main(["bench", "--config", cfg, "--out", out,
+                         "--variants", "fspad,bogus"]) == cli.EXIT_CONFIG
 
     def test_missing_checkpoint_is_io_error(self, tmp_path):
         assert cli.main(["bench", "--out", str(tmp_path / "empty")]) == cli.EXIT_IO
@@ -174,3 +190,29 @@ class TestFlagOverrides:
                        "list of colors", "--max-new", "4",
                        "--budget", "2", "--topk", "1", "--depth", "1"])
         assert rc == 0
+
+
+class TestFlagsPerCommand:
+    RUN = {"--config", "--seed", "--out"}
+    DECODE = RUN | {"--temperature", "--budget", "--topk", "--depth"}
+
+    def test_each_command_takes_only_the_flags_it_reads(self):
+        sub = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        flags = {name: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
+                 for name, p in sub.choices.items()}
+        assert flags == {
+            "train-target": self.RUN,
+            "train-draft": self.RUN | {"--variant"},
+            "generate": self.DECODE | {"--prompt", "--max-new", "--variant"},
+            "bench": self.DECODE | {"--variants", "--report"},
+            "ablate": self.DECODE | {"--report"},
+            "selftest": set(),
+        }
+
+    @pytest.mark.parametrize("argv", [["selftest", "--budget", "3"],
+                                      ["train-target", "--temperature", "0.5"]])
+    def test_flag_the_command_does_not_read_is_usage_error(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2

@@ -514,6 +514,8 @@ class TestContextEdge:
 
 @pytest.mark.measured_latency
 class TestLatencyTable:
+    CAPS = dict(depth=5, expand_k=8, select_m=8, budget=60)
+
     def test_measured_once_per_target_config(self, monkeypatch):
         calls = []
         monkeypatch.setattr(E, "_LATENCY", {})
@@ -521,13 +523,15 @@ class TestLatencyTable:
         monkeypatch.setattr(E, "measure_latency",
                             lambda target: calls.append(1) or measure(target))
         cfg, target, draft = micro_stack(330)
-        first = E.ModelDrafter(draft).latency
-        assert E.ModelDrafter(M.DraftModel(cfg, M.TargetModel(cfg, seed=1), seed=2)).latency is first
+        first = E.ModelDrafter(draft, **self.CAPS).latency
+        assert E.ModelDrafter(M.DraftModel(cfg, M.TargetModel(cfg, seed=1), seed=2),
+                              **self.CAPS).latency is first
         # every draft variant of the target shares its table
-        assert E.ModelDrafter(M.DraftModel(cfg, target, variant="no_fs", seed=3)).latency is first
+        assert E.ModelDrafter(M.DraftModel(cfg, target, variant="no_fs", seed=3),
+                              **self.CAPS).latency is first
         assert len(calls) == 1
         other_cfg, other_target, other_draft = micro_stack(331, max_seq=64)
-        assert E.ModelDrafter(other_draft).latency is not first and len(calls) == 2
+        assert E.ModelDrafter(other_draft, **self.CAPS).latency is not first and len(calls) == 2
         assert first.rows == list(E.LATENCY_ROWS)
         assert all(v > 0 for v in first.measured["verify_ms"] + first.measured["draft_ms"])
         assert len(first.verify_ms) == len(first.draft_ms) == E.LATENCY_ROWS[-1] + 1
@@ -538,7 +542,7 @@ class TestLatencyTable:
         for seed, max_seq, sharpen in ((332, 128, 1.0), (333, 64, 12.0)):
             cfg, target, draft = micro_stack(seed, max_seq=max_seq)
             target.head.weight.data *= sharpen
-            drafter = E.ModelDrafter(draft)
+            drafter = E.ModelDrafter(draft, **self.CAPS)
             assert drafter.latency.rows == list(E.LATENCY_ROWS)
             engine = E.SpeculativeEngine(target, drafter)
             rng = np.random.default_rng(seed)
