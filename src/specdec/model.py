@@ -11,11 +11,13 @@ i into the layer's input row.
 
 Both forwards share one preamble: positions default to following the
 cache, the boolean visibility mask defaults to causal and becomes an
-additive bias once, and the rotary tables are built once per forward and
-handed to every layer.
+additive bias once, and the rows of the rotary tables for those positions
+are picked once per forward and handed to every layer.  The tables
+themselves are built once per (max_seq_len, head_dim, base, dtype), so a
+model builds them once.
 
 Every forward picks its ops once (``tensor.forward_ops()``) and hands
-them to every layer with the rotary tables and the bias: the tape ops
+them to every layer with the rotary rows and the bias: the tape ops
 while gradients are recorded, and under ``tensor.no_grad()`` their own
 kernels on bare arrays, so that inference builds Tensors only for what a
 forward returns.  All inference paths are expected to run inside
@@ -26,9 +28,11 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import os
 import struct
 from dataclasses import asdict, dataclass, fields
+from functools import lru_cache
 
 import numpy as np
 
@@ -127,14 +131,30 @@ def rope_tables(positions, head_dim, base, dtype=np.float32):
     return np.cos(angles).astype(dtype), np.sin(angles).astype(dtype)
 
 
-def _apply_rope(x, cos, sin, ops):
-    # x: (B, H, T, Dh); the (T, Dh // 2) tables broadcast over batch and heads
+@lru_cache(maxsize=16)
+def _rotary(max_seq_len, head_dim, base, dtype):
+    cos, sin = rope_tables(np.arange(max_seq_len), head_dim, base, dtype)
+    tables = np.concatenate([cos, cos], axis=-1), np.concatenate([-sin, sin], axis=-1)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def rotary_rows(config, positions, dtype=np.float32):
+    """(C, S), each (len(positions), head_dim): ``C = [cos, cos]`` and
+    ``S = [-sin, sin]``, the rows of tables built once per (max_seq_len,
+    head_dim, base, dtype).  Positions must lie in [0, max_seq_len)."""
+    c, s = _rotary(config.max_seq_len, config.head_dim, float(config.rope_base), np.dtype(dtype))
+    return c[positions], s[positions]
+
+
+def _apply_rope(x, rope, ops):
+    # x: (B, H, T, Dh); the (T, Dh) rows broadcast over batch and heads.
+    # x * C + swap(x) * S is [x1*cos - x2*sin, x2*cos + x1*sin], bit for bit.
+    c, s = rope
     half = x.shape[-1] // 2
     x1, x2 = ops.split_last(x, [half, half])
-    return ops.concat_last([
-        ops.sub(ops.mul(x1, cos), ops.mul(x2, sin)),
-        ops.add(ops.mul(x2, cos), ops.mul(x1, sin)),
-    ])
+    return ops.add(ops.mul(x, c), ops.mul(ops.concat_last([x2, x1]), s))
 
 
 class KvCache:
@@ -227,8 +247,8 @@ class Attention:
         def heads(z):
             return ops.transpose(ops.reshape(z, (b, t, h, dh)), (0, 2, 1, 3))
 
-        q = _apply_rope(heads(self.wq(x, ops)), *rope, ops)
-        k = _apply_rope(heads(self.wk(x, ops)), *rope, ops)
+        q = _apply_rope(heads(self.wq(x, ops)), rope, ops)
+        k = _apply_rope(heads(self.wk(x, ops)), rope, ops)
         v = heads(self.wv(x, ops))
 
         if cache is not None:
@@ -237,8 +257,8 @@ class Attention:
             k, v = cache.append(layer_idx, ops.value(k)[0], ops.value(v)[0])
             k, v = ops.const(k[None]), ops.const(v[None])
 
-        scores = ops.scale(ops.matmul(q, ops.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
-        scores = ops.add_const(scores, bias)  # rebinding frees the unbiased scores
+        scores = ops.matmul(q, ops.transpose(k, (0, 1, 3, 2)))
+        scores = ops.scale_bias(scores, 1.0 / math.sqrt(dh), bias)  # into the fresh scores
         attn = ops.softmax(scores, axis=-1)
         out = ops.transpose(ops.matmul(attn, v), (0, 2, 1, 3))
         return self.wo(ops.reshape(out, (b, t, c)), ops)
@@ -287,7 +307,7 @@ def causal_mask(n_queries, n_keys):
 
 
 def _preamble(config, x, positions, mask, cache):
-    """Rotary tables and additive bias for the rows of ``x`` (B, T, hidden).
+    """Rotary rows and additive bias for the rows of ``x`` (B, T, hidden).
 
     ``positions`` default to following the cache and ``mask``, a boolean
     (T, cached + T) visibility, to causal.  T must be at least 1.
@@ -301,6 +321,8 @@ def _preamble(config, x, positions, mask, cache):
         raise CapacityError(
             f"position {int(positions.max())} exceeds max_seq_len {config.max_seq_len}"
         )
+    if positions.min(initial=0) < 0:
+        raise ContractError(f"negative position {int(positions.min())}")
     if mask is None:
         mask = causal_mask(t, past + t)
     if mask.shape != (t, past + t):
@@ -309,7 +331,7 @@ def _preamble(config, x, positions, mask, cache):
         )
     bias = np.zeros(mask.shape, dtype=np.float32)
     bias[~mask] = MASK_OFF
-    return rope_tables(positions, config.head_dim, config.rope_base, dtype=x.dtype), bias
+    return rotary_rows(config, positions, x.dtype), bias
 
 
 class TargetModel:

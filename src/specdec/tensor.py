@@ -173,20 +173,26 @@ def _unbroadcast(g, shape):
 # elementwise ops
 
 
-def _scale(a, s):
-    return a * float(s)
-
-
-def _add_const(a, c):
-    return a + np.asarray(c).astype(a.dtype, copy=False)
+def _scale_bias(x, s, bias):
+    """``x * s + bias``, written into ``x``: pass a score array that
+    nothing else reads.  ``s`` multiplies as a Python float, so a float32
+    ``x`` stays float32; ``bias`` is cast to x's dtype first."""
+    np.multiply(x, float(s), out=x)
+    x += np.asarray(bias).astype(x.dtype, copy=False)
+    return x
 
 
 def _sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-x))
+    # 1 / (1 + exp(-x)), each step written into one buffer
+    s = np.negative(x)
+    np.exp(s, out=s)
+    s += 1.0
+    return np.divide(1.0, s, out=s)
 
 
 def _silu(x):
-    return x * _sigmoid(x)
+    s = _sigmoid(x)
+    return np.multiply(x, s, out=s)
 
 
 def add(a, b):
@@ -233,7 +239,7 @@ def mul(a, b):
 
 def scale(a, s):
     s = float(s)
-    out = Tensor(_scale(a.data, s))
+    out = Tensor(a.data * s)
 
     def bw(g):
         return (g * s,)
@@ -241,14 +247,16 @@ def scale(a, s):
     return _record(out, (a,), bw)
 
 
-def add_const(a, c):
-    """Add a constant array (no gradient flows into ``c``)."""
-    out = Tensor(_add_const(a.data, c))
+def scale_bias(x, s, bias):
+    """``x * s + bias`` for a constant ``bias`` that broadcasts to x's
+    shape (no gradient flows into it)."""
+    s = float(s)
+    out = Tensor(_scale_bias(x.data.copy(), s, bias))
 
     def bw(g):
-        return (_unbroadcast(g, a.data.shape).astype(a.dtype),)
+        return (g * s,)
 
-    return _record(out, (a,), bw)
+    return _record(out, (x,), bw)
 
 
 def silu(x):
@@ -413,15 +421,20 @@ def _rms_inv(x, eps):
 
 
 def _rms_norm(x, weight, eps=1e-5):
-    return x * _rms_inv(x, eps) * weight
+    out = np.multiply(x, _rms_inv(x, eps))
+    out *= weight
+    return out
 
 
 def _softmax(x, axis=-1):
     top = x.max(axis=axis, keepdims=True)
     if np.isnan(top).any():  # the max of a row holding a NaN is NaN
         raise NumericError("softmax input contains NaN")
-    e = np.exp(x - top)
-    return (e / e.sum(axis=axis, keepdims=True, dtype=np.float64)).astype(x.dtype, copy=False)
+    e = np.subtract(x, top)
+    np.exp(e, out=e)
+    # divides in float64 by the float64 row sums and rounds once into e
+    return np.divide(e, e.sum(axis=axis, keepdims=True, dtype=np.float64), out=e,
+                     casting="same_kind")
 
 
 def rms_norm(x, weight, eps=1e-5):
@@ -562,7 +575,7 @@ class _TapeOps:
 
 TAPE = _TapeOps()
 KERNELS = SimpleNamespace(
-    add=np.add, sub=np.subtract, mul=np.multiply, scale=_scale, add_const=_add_const, silu=_silu,
+    add=np.add, sub=np.subtract, mul=np.multiply, scale_bias=_scale_bias, silu=_silu,
     reshape=_reshape, transpose=_transpose, concat_last=_concat_last, split_last=_split_last,
     matmul=_matmul, embedding=_embedding, rms_norm=_rms_norm, softmax=_softmax,
     leaf=lambda t: t.data, const=_float_array, value=lambda x: x, result=Tensor)

@@ -47,9 +47,10 @@ class TrainConfig(ConfigSection):
             raise ConfigError(f"loss_weight must be >= 0, got {self.loss_weight}")
         if self.learning_rate <= 0:
             raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
-        for name in ("seed", "corpus_seed"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
+        for name, least in (("seed", 0), ("corpus_seed", 0), ("steps", 0), ("draft_steps", 0),
+                            ("batch_size", 1), ("seq_len", 1), ("corpus_docs", 1)):
+            if getattr(self, name) < least:
+                raise ConfigError(f"{name} must be >= {least}, got {getattr(self, name)}")
 
 
 class TokenizedCorpus:
@@ -101,7 +102,9 @@ def eval_stream_loss(target, stream, seq_len=96, batches=4, seed=123):
 
 def _optimise(params, cfg, steps, batch_loss, label, log_path=None, progress=None):
     """AdamW at ``cfg.learning_rate`` over ``steps`` batches; ``batch_loss()`` draws
-    one and returns (loss, log fields, progress note).
+    one and returns (loss, log fields, progress note).  A None loss (a batch
+    with nothing to learn from) leaves the parameters and the optimiser as
+    they are; its step is still logged.
 
     A non-finite loss or a NumericError in step k raises TrainingError
     naming k, after the log is closed with one record per earlier step.
@@ -113,11 +116,12 @@ def _optimise(params, cfg, steps, batch_loss, label, log_path=None, progress=Non
             T.clear_tape()
             try:
                 loss, fields, note = batch_loss()
-                if not np.isfinite(loss.item()):
-                    raise NumericError(f"loss is {loss.item()}")
-                opt.zero_grad()
-                T.backward(loss)
-                opt.step()
+                if loss is not None:
+                    if not np.isfinite(loss.item()):
+                        raise NumericError(f"loss is {loss.item()}")
+                    opt.zero_grad()
+                    T.backward(loss)
+                    opt.step()
             except NumericError as e:
                 raise TrainingError(f"{label} diverged at step {step}: {e}") from e
             if log:
@@ -227,8 +231,10 @@ def train_draft(target, corpus, train_config, variant="fspad", log_path=None, pr
     Only the connector and the draft decoder layer train; the target's
     embedding, head, and final norm are shared read-only.  Per-step log
     records carry the composite loss, both components, and teacher-forced
-    top-1 accuracy (the conflict-between-losses diagnostic).  Raises
-    TrainingError with the step index if the loss diverges.
+    top-1 accuracy (the conflict-between-losses diagnostic).  A batch whose
+    window holds no response position is drawn and logged with zero losses
+    but trains nothing.  Raises TrainingError with the step index if the
+    loss diverges.
     """
     cfg = train_config
     target.set_trainable(False)
@@ -239,9 +245,11 @@ def train_draft(target, corpus, train_config, variant="fspad", log_path=None, pr
 
     def batch_loss():
         picks = rng.integers(0, len(docs), size=cfg.batch_size)
-        tokens, valid, response = _pad_batch([docs[i] for i in picks])
+        tokens, valid, response = (a[:, :n] for a in _pad_batch([docs[i] for i in picks]))
+        if not response[:, 1:].any():  # no row i is supervised by a response position i + 1
+            return None, {"L": 0.0, "L_t": 0.0, "L_f": 0.0, "top1_acc": 0.0}, "nothing to learn"
         loss, token_loss, feature_loss, top1 = draft_batch_losses(
-            target, draft, tokens[:, :n], valid[:, :n], response[:, :n], cfg.loss_weight)
+            target, draft, tokens, valid, response, cfg.loss_weight)
         value = loss.item()
         fields = {"L": value, "L_t": token_loss.item(), "L_f": feature_loss.item(),
                   "top1_acc": top1}

@@ -110,6 +110,15 @@ class TestExitCodes:
         assert cli.main(["train-target", "--config", str(cfg),
                          "--out", str(tmp_path / "o")] + flags) == cli.EXIT_CONFIG
 
+    @pytest.mark.parametrize("training", [{"batch_size": 0}, {"seq_len": 0}, {"corpus_docs": 0},
+                                          {"steps": -3}, {"draft_steps": -1}])
+    def test_size_out_of_range_is_config_error(self, tmp_path, training):
+        cfg = tmp_path / "size.json"
+        cfg.write_text(json.dumps({"model": TINY_CONFIG["model"],
+                                   "training": {**TINY_CONFIG["training"], **training}}))
+        assert cli.main(["train-target", "--config", str(cfg),
+                         "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG
+
     def test_unknown_section_is_config_error(self, tmp_path):
         cfg = tmp_path / "bad2.json"
         cfg.write_text(json.dumps({"modle": {}}))

@@ -88,6 +88,17 @@ class TestSameValuesOnBothArms:
         np.testing.assert_array_equal(taped.data, free.data)
 
 
+class TestScaleBias:
+    def test_tape_leaves_its_input_alone_and_equals_the_kernel(self):
+        # the kernel writes into the fresh score array it is handed
+        x = np.random.default_rng(7).normal(size=(1, 2, 4, 6)).astype(np.float32)
+        bias = np.where(M.causal_mask(4, 6), 0.0, M.MASK_OFF).astype(np.float32)
+        kept = x.copy()
+        taped = T.scale_bias(T.Tensor(x), 0.25, bias)
+        np.testing.assert_array_equal(x, kept)
+        np.testing.assert_array_equal(T.KERNELS.scale_bias(x, 0.25, bias), taped.data)
+
+
 class TestTensorsBuilt:
     @staticmethod
     def count_tensors(monkeypatch):

@@ -48,6 +48,25 @@ def test_target_forward_against_cache(benchmark, stack, rows):
     assert logits.shape == (rows, config.vocab_size)
 
 
+def test_target_forward_batch_16x97(benchmark, stack):
+    # the teacher forward of one draft-training batch
+    config, target, _ = stack
+    tokens = np.random.default_rng(97).integers(0, config.vocab_size, size=(16, 97))
+    logits, _ = benchmark.pedantic(target.forward, args=(tokens,), rounds=5)
+    assert logits.shape == (16, 97, config.vocab_size)
+
+
+def test_target_prefill_320_rows(benchmark, stack):
+    config, target, _ = stack
+    tokens = np.random.default_rng(320).integers(0, config.vocab_size, size=320)
+
+    def empty_cache():
+        return (tokens,), {"cache": target.new_cache()}
+
+    logits, _ = benchmark.pedantic(target.forward, setup=empty_cache, rounds=5)
+    assert logits.shape == (320, config.vocab_size)
+
+
 def test_draft_forward_8_rows(benchmark, stack):
     config, _, draft = stack
     rng = np.random.default_rng(8)

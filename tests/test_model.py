@@ -125,6 +125,11 @@ class TestTargetForward:
         with pytest.raises(CapacityError):
             target.forward(np.array([1, 2, 3, 4, 5]))
 
+    def test_negative_position_is_contract_error(self):
+        target = M.TargetModel(micro_config(), seed=7)
+        with pytest.raises(ContractError, match="negative position"):
+            target.forward(np.array([1, 2]), positions=np.array([-1, 0]))
+
     def test_empty_input_is_contract_error(self):
         cfg = micro_config()
         target = M.TargetModel(cfg, seed=7)
@@ -139,6 +144,43 @@ class TestTargetForward:
         for call in calls:
             with pytest.raises(ContractError, match="at least one row"):
                 call()
+
+
+class TestRotaryTables:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_rows_equal_tables_built_for_the_positions(self, dtype):
+        cfg = micro_config(max_seq_len=200, rope_base=500.0)
+        half = cfg.head_dim // 2
+        positions = np.array([199, 0, 7, 7, 123, 1, 198])
+        c, s = M.rotary_rows(cfg, positions, dtype)
+        cos, sin = M.rope_tables(positions, cfg.head_dim, cfg.rope_base, dtype)
+        assert c.dtype == s.dtype == dtype and c.shape == (len(positions), cfg.head_dim)
+        for got, want in ((c[:, :half], cos), (c[:, half:], cos),
+                          (s[:, :half], -sin), (s[:, half:], sin)):
+            np.testing.assert_array_equal(got, want)
+
+    def test_built_once_per_model_config(self):
+        cfg = micro_config(max_seq_len=48)
+        target = M.TargetModel(cfg, seed=3)
+        target.forward(np.arange(5))
+        built = M._rotary.cache_info().misses
+        target.forward(np.arange(9))
+        target.forward(np.arange(3), cache=target.new_cache())
+        M.DraftModel(cfg, target, seed=4).forward(np.zeros((1, 2, 16), np.float32),
+                                                  np.array([[1, 2]]))
+        assert M._rotary.cache_info().misses == built
+
+    def test_rotation_matches_the_split_formula(self):
+        # x * [cos, cos] + [x2, x1] * [-sin, sin] == [x1 cos - x2 sin, x2 cos + x1 sin]
+        cfg = micro_config()
+        x = np.random.default_rng(9).normal(size=(2, 2, 6, cfg.head_dim)).astype(np.float32)
+        positions = np.arange(10, 16)
+        cos, sin = M.rope_tables(positions, cfg.head_dim, cfg.rope_base)
+        x1, x2 = np.split(x, 2, axis=-1)
+        want = np.concatenate([x1 * cos - x2 * sin, x2 * cos + x1 * sin], axis=-1)
+        rope = M.rotary_rows(cfg, positions)
+        np.testing.assert_array_equal(M._apply_rope(x, rope, T.KERNELS), want)
+        np.testing.assert_array_equal(M._apply_rope(T.Tensor(x), rope, T.TAPE).data, want)
 
 
 class TestFeatureSampler:
@@ -230,7 +272,7 @@ class TestDraftModel:
 
         # manual recomputation of the wide-MLP layer with explicit split
         x = draft.connector(T.Tensor(feats), T.embedding(target.embed, tokens))
-        rope = M.rope_tables(np.arange(3), cfg.head_dim, cfg.rope_base)
+        rope = M.rotary_rows(cfg, np.arange(3))
         bias = np.where(M.causal_mask(3, 3), 0.0, M.MASK_OFF)
         r = T.add(x, draft.layer.attn(draft.layer.attn_norm(x), rope, bias))
         h = draft.layer.mlp_norm(r)

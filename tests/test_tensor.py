@@ -1,6 +1,7 @@
 """Tensor-core tests: op semantics, gradient checks, optimizer behavior."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -101,6 +102,53 @@ class TestSoftmax:
     def test_nan_rejected(self):
         with pytest.raises(NumericError):
             T.softmax(T.Tensor([np.nan, 0.0]))
+        with pytest.raises(NumericError):
+            T.KERNELS.softmax(np.array([[0.0, 1.0], [np.nan, 0.0]], dtype=np.float32))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_kernel_is_one_float64_division(self, dtype):
+        # rows with masked-off (-1e9) keys, as attention scores have them
+        x = np.random.default_rng(3).normal(scale=4.0, size=(3, 5, 9)).astype(dtype)
+        x[..., 6:] = -1e9
+        x[0, 0, :] = -1e9
+        e = np.exp(x - x.max(axis=-1, keepdims=True))
+        want = (e / e.sum(axis=-1, keepdims=True, dtype=np.float64)).astype(dtype)
+        got = T.KERNELS.softmax(x)
+        assert got.dtype == dtype
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(T.softmax(T.Tensor(x)).data, want)
+
+    def test_kernel_peak_memory_is_one_output(self):
+        x = np.random.default_rng(4).normal(size=(1, 4, 320, 320)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            T.KERNELS.softmax(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * x.nbytes
+
+
+class TestSilu:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_kernel_and_tape_match_the_formula(self, dtype):
+        x = np.random.default_rng(5).normal(scale=6.0, size=(4, 33)).astype(dtype)
+        want = x * (1 / (1 + np.exp(-x)))
+        np.testing.assert_array_equal(T.KERNELS.silu(x), want)
+        np.testing.assert_array_equal(T.silu(T.Tensor(x)).data, want)
+
+
+class TestScaleBias:
+    def test_matches_scale_then_add(self):
+        rng = np.random.default_rng(6)
+        x = rng.normal(size=(2, 3, 5, 7)).astype(np.float32)
+        bias = np.where(rng.random((5, 7)) < 0.3, -1e9, 0.0)  # float64, cast to x's dtype
+        s = 1.0 / math.sqrt(32)
+        want = x * s + bias.astype(np.float32)
+        taped = T.scale_bias(T.Tensor(x), s, bias)
+        np.testing.assert_array_equal(taped.data, want)
+        assert taped.dtype == np.float32
+        np.testing.assert_array_equal(T.KERNELS.scale_bias(x.copy(), s, bias), want)
 
 
 class TestCrossEntropy:

@@ -1,5 +1,7 @@
 """Training-path tests: corpus handling, shift alignment, losses, freezing."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -265,6 +267,42 @@ class TestDraftTraining:
         for variant in M.VARIANTS:
             draft = TR.train_draft(target, corpus, tc, variant=variant)
             assert draft.variant == variant
+
+    # seq_len 8 keeps rows 0..8: the response of GOOD starts inside that
+    # window, the one of BAD after it
+    GOOD, BAD = (np.arange(2, 16), 3), (np.arange(2, 30), 20)
+
+    @staticmethod
+    def _target(seed):
+        return M.TargetModel(M.ModelConfig(vocab_size=32, hidden_size=16, intermediate_size=24,
+                                           n_layers=2, n_heads=2, max_seq_len=64), seed=seed)
+
+    @pytest.mark.filterwarnings("error")  # no all-masked loss is computed either
+    def test_batch_with_nothing_supervised_moves_nothing(self, tmp_path):
+        target = self._target(13)
+        tc = TR.TrainConfig(draft_steps=4, batch_size=2, seq_len=8, learning_rate=1e-2)
+        path = tmp_path / "draft.jsonl"
+        draft = TR.train_draft(target, TR.TokenizedCorpus([self.BAD], [self.BAD]), tc,
+                               log_path=path)
+        fresh = M.DraftModel(target.config, target, seed=tc.seed + 1)
+        for name, t in fresh.named_tensors().items():
+            np.testing.assert_array_equal(draft.named_tensors()[name].data, t.data)
+        assert len(path.read_text().splitlines()) == 4
+
+    def test_unsupervised_batches_leave_the_optimiser_alone(self):
+        # interleaved unsupervised batches give the draft that the supervised
+        # batches alone give: no moment, step count or parameter moves
+        target = self._target(14)
+        tc = TR.TrainConfig(draft_steps=8, batch_size=1, seq_len=8, learning_rate=1e-2)
+        # the documented stream rule: one draw of batch_size indices per step
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=tc.seed, spawn_key=(4,)))
+        picks = [int(rng.integers(0, 2, size=1)[0]) for _ in range(tc.draft_steps)]
+        assert "01" in "".join(map(str, picks))  # a skipped batch follows a supervised one
+        mixed = TR.train_draft(target, TR.TokenizedCorpus([self.GOOD, self.BAD], [self.GOOD]), tc)
+        alone = TR.train_draft(target, TR.TokenizedCorpus([self.GOOD], [self.GOOD]),
+                               dataclasses.replace(tc, draft_steps=picks.count(0)))
+        for name, t in alone.named_tensors().items():
+            np.testing.assert_array_equal(mixed.named_tensors()[name].data, t.data)
 
     def test_unknown_variant_rejected(self):
         _, tok, cfg, corpus = tiny_setup(n_docs=30)
