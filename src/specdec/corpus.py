@@ -15,6 +15,8 @@ it is the supervised response region.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+
 import numpy as np
 
 SUBJECTS = ["the fox", "the owl", "the river", "the old clock", "the gardener",
@@ -38,10 +40,32 @@ LIST_TOPICS = {
 }
 
 
-def _zipf_choice(rng, pool):
-    weights = 1.0 / (np.arange(len(pool)) + 1.5)
+def _cdf(weights):
+    """``Generator.choice``'s own CDF of ``p=weights``: the cumulative sum,
+    divided by its last entry."""
+    cdf = np.asarray(weights, dtype=np.float64).cumsum()
+    cdf /= cdf[-1]
+    return cdf.tolist()
+
+
+def _draw(rng, cdf):
+    """The index ``rng.choice(len(cdf), p=...)`` draws, from the same one
+    ``rng.random()`` and the same right-side search of the CDF."""
+    return bisect_right(cdf, rng.random())
+
+
+def _zipf_cdf(n):
+    weights = 1.0 / (np.arange(n) + 1.5)
     weights /= weights.sum()
-    return pool[rng.choice(len(pool), p=weights)]
+    return _cdf(weights)
+
+
+_ZIPF_CDFS = {len(pool): _zipf_cdf(len(pool))
+              for pool in (SUBJECTS, VERBS, OBJECTS, TAILS, CONNECTIVES)}
+
+
+def _zipf_choice(rng, pool):
+    return pool[_draw(rng, _ZIPF_CDFS[len(pool)])]
 
 
 def _prose_sentence(rng):
@@ -87,6 +111,11 @@ def _math_doc(rng):
 
 DOC_KINDS = ("prose", "copy", "math")
 _KIND_WEIGHTS = (0.55, 0.20, 0.25)
+_KIND_CDF = _cdf(_KIND_WEIGHTS)
+
+
+def _doc_kind(rng):
+    return DOC_KINDS[_draw(rng, _KIND_CDF)]
 
 
 class Document:
@@ -116,7 +145,7 @@ def synthesize_documents(n_docs, seed=1234):
     docs = []
     makers = {"prose": _prose_doc, "copy": _copy_doc, "math": _math_doc}
     for _ in range(n_docs):
-        kind = DOC_KINDS[rng.choice(len(DOC_KINDS), p=_KIND_WEIGHTS)]
+        kind = _doc_kind(rng)
         sentences = makers[kind](rng)
         split = int(rng.integers(1, len(sentences)))
         docs.append(Document(kind, sentences, split))

@@ -6,11 +6,16 @@ into whitespace-anchored chunks (a chunk is a word with its leading
 whitespace) and merges never cross chunk boundaries, so a prompt that
 ends on a word boundary tokenizes exactly as the same text does inside a
 longer document.  Any byte string encodes and decodes losslessly.
+
+``encode`` merges each distinct chunk once, lowest rank first, and keeps
+the result in a per-tokenizer memo of at most ``_MEMO_CAP`` chunks (cleared
+when full); words repeat, so most chunks of a text are memo hits.
 """
 
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
 
@@ -23,6 +28,11 @@ EOS = 257
 N_SPECIALS = 2
 
 _WHITESPACE = (9, 10, 13, 32)  # tab, newline, carriage return, space
+# the chunks _chunk_starts marks: one whitespace byte or the text's start,
+# then every byte up to the next whitespace
+_CHUNK = re.compile(rb"[\t\n\r ]?[^\t\n\r ]+|[\t\n\r ]")
+_MEMO_CAP = 1 << 14  # distinct chunks remembered per tokenizer
+_NO_MERGE = float("inf")
 
 
 def _chunk_starts(byte_ids):
@@ -56,13 +66,25 @@ def _merge_pass(ids, starts, a, b, new_id):
 
 
 class Tokenizer:
-    """merges: list of (left_id, right_id), applied in order when encoding."""
+    """merges: list of (left_id, right_id); merge r makes id 258 + r, and
+    both of its ids must be below that.  A pair listed twice keeps its
+    first rank.  A merge that is not such a pair raises ContractError."""
 
     def __init__(self, merges=None):
-        self.merges = [tuple(m) for m in (merges or [])]
+        self.merges = []
         self._token_bytes = [bytes([i]) for i in range(N_BYTES)] + [b"", b""]
-        for a, b in self.merges:
+        self._ranks = {}  # pair -> the id its lowest-rank merge makes
+        for rank, pair in enumerate(merges or []):
+            new_id = N_BYTES + N_SPECIALS + rank
+            if not (isinstance(pair, (list, tuple)) and len(pair) == 2
+                    and all(isinstance(i, int) and 0 <= i < new_id for i in pair)):
+                raise ContractError(
+                    f"tokenizer merge {rank} is {pair!r}, not a pair of ids below {new_id}")
+            a, b = pair
+            self.merges.append((a, b))
             self._token_bytes.append(self._token_bytes[a] + self._token_bytes[b])
+            self._ranks.setdefault((a, b), new_id)
+        self._memo = {}
 
     @property
     def vocab_size(self):
@@ -70,19 +92,51 @@ class Tokenizer:
 
     def encode(self, text, add_bos=False, add_eos=False):
         data = text.encode("utf-8") if isinstance(text, str) else bytes(text)
-        ids = np.frombuffer(data, dtype=np.uint8).astype(np.int32)
-        starts = _chunk_starts(ids)
-        for rank, (a, b) in enumerate(self.merges):
-            ids, starts = _merge_pass(ids, starts, a, b, N_BYTES + N_SPECIALS + rank)
-        out = ids.tolist()
-        if add_bos:
-            out.insert(0, BOS)
+        out = [BOS] if add_bos else []
+        memo = self._memo
+        for chunk in _CHUNK.findall(data):
+            ids = memo.get(chunk)
+            if ids is None:
+                if len(memo) >= _MEMO_CAP:
+                    memo.clear()
+                ids = memo[chunk] = self._encode_chunk(chunk)
+            out += ids
         if add_eos:
             out.append(EOS)
         return out
 
+    def _encode_chunk(self, chunk):
+        """The ids of one chunk: apply the lowest-rank merge present to all
+        its non-overlapping pairs, left to right, until none applies.  A
+        merge's ids are below its own new id, so it never makes a pair of
+        lower rank, and this equals applying every merge in rank order."""
+        ids = list(chunk)
+        ranks = self._ranks
+        while len(ids) > 1:
+            pair = min(zip(ids, ids[1:]), key=lambda p: ranks.get(p, _NO_MERGE))
+            new_id = ranks.get(pair)
+            if new_id is None:
+                break
+            a, b = pair
+            merged, i, n = [], 0, len(ids)
+            while i < n:
+                if ids[i] == a and i + 1 < n and ids[i + 1] == b:
+                    merged.append(new_id)
+                    i += 2
+                else:
+                    merged.append(ids[i])
+                    i += 1
+            ids = merged
+        return tuple(ids)
+
     def decode_bytes(self, ids):
-        return b"".join(self._token_bytes[i] for i in ids)
+        table = self._token_bytes
+        out = []
+        for i in ids:
+            if not 0 <= i < len(table):
+                raise ContractError(f"token id {i} is outside [0, {len(table)})")
+            out.append(table[i])
+        return b"".join(out)
 
     def decode(self, ids):
         return self.decode_bytes(ids).decode("utf-8", errors="replace")
@@ -103,13 +157,10 @@ class Tokenizer:
         merges = raw.get("merges") if isinstance(raw, dict) else None
         if not isinstance(merges, list):
             raise CheckpointFormatError(f"tokenizer file {path} has no merges list")
-        for rank, pair in enumerate(merges):
-            new_id = N_BYTES + N_SPECIALS + rank
-            if not (isinstance(pair, list) and len(pair) == 2
-                    and all(isinstance(i, int) and 0 <= i < new_id for i in pair)):
-                raise CheckpointFormatError(
-                    f"tokenizer merge {rank} is {pair!r}, not a pair of ids below {new_id}")
-        return cls(merges=merges)
+        try:
+            return cls(merges=merges)
+        except ContractError as e:
+            raise CheckpointFormatError(f"tokenizer file {path}: {e}") from e
 
 
 def build_tokenizer(corpus_text, vocab_size):

@@ -2,14 +2,17 @@
 
 Everything here deliberately avoids the production code paths: pools are
 regenerated with per-path linear decodes, masks are derived from parent
-walks, and subset selection is exhaustive.
+walks, subset selection is exhaustive, BPE ids come from rank-ordered
+whole-text merge passes and corpus draws from ``Generator.choice``.
 """
 
 import itertools
 
 import numpy as np
 
+from specdec import corpus as C
 from specdec import tensor as T
+from specdec import tokenizer as TK
 
 
 def mask_by_parent_walk(tree, prefix_len):
@@ -201,3 +204,26 @@ def tree_signature(tree):
             walk = tree.parents[walk]
         out.append(tuple(toks[::-1]))
     return sorted(out)
+
+
+def whole_text_encode(tok, text):
+    """BPE ids by whole-text passes: every merge, in rank order, replaces
+    its non-overlapping within-chunk pairs across the whole text."""
+    data = text.encode("utf-8") if isinstance(text, str) else bytes(text)
+    ids = np.frombuffer(data, dtype=np.uint8).astype(np.int32)
+    starts = TK._chunk_starts(ids)
+    for rank, (a, b) in enumerate(tok.merges):
+        ids, starts = TK._merge_pass(ids, starts, a, b, TK.N_BYTES + TK.N_SPECIALS + rank)
+    return ids.tolist()
+
+
+def zipf_choice_by_generator(rng, pool):
+    """A Zipf-weighted word of ``pool``, drawn by ``Generator.choice(p=...)``."""
+    weights = 1.0 / (np.arange(len(pool)) + 1.5)
+    weights /= weights.sum()
+    return pool[rng.choice(len(pool), p=weights)]
+
+
+def doc_kind_by_generator(rng):
+    """A document kind, drawn by ``Generator.choice(p=...)``."""
+    return C.DOC_KINDS[rng.choice(len(C.DOC_KINDS), p=C._KIND_WEIGHTS)]

@@ -1,5 +1,7 @@
 """Micro-benchmarks of the inference hot paths on a toy-size stack (hidden
-128, 4 layers, vocab 512, random weights), with pytest-benchmark.
+128, 4 layers, vocab 512, random weights), and of the set-up paths that
+tokenize prompts and a training corpus with the committed benchmark
+tokenizer, with pytest-benchmark.
 
 They assert nothing about time: a few rounds each keep the tier-1 run
 short, and the table pytest-benchmark prints is the record.  For steadier
@@ -7,16 +9,23 @@ figures, run this file alone with ``OPENBLAS_NUM_THREADS=1`` and raise
 ``rounds``.
 """
 
+import os
+
 import numpy as np
 import pytest
 
+from specdec import corpus as C
 from specdec import engine as E
 from specdec import model as M
 from specdec import tensor as T
+from specdec import tokenizer as TK
+from specdec import training as TR
 from specdec.bench import DraftingConfig
 from specdec.tree import build_draft_tree
 
 PREFIX = 30  # cached rows in front of the timed target forward
+TOKENIZER = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "perfbench", "weights", "tokenizer.json")
 
 
 @pytest.fixture(scope="module")
@@ -118,3 +127,32 @@ def test_verify_walk_default_preset(benchmark, stack, walk):
 
     result = benchmark.pedantic(verify, rounds=50)
     assert len(tree) == 61 and result.bonus_token >= 0
+
+
+@pytest.fixture(scope="module")
+def merges():
+    return TK.Tokenizer.load(TOKENIZER).merges
+
+
+def test_encode_short_prompts(benchmark, merges):
+    # 32 prompts per task, each round with a fresh tokenizer (an empty memo)
+    prompts = [p for task in C.TASKS for p in C.task_prompts(task, 32, seed=1)]
+
+    def encode_all(tok):
+        return [tok.encode(p, add_bos=True) for p in prompts]
+
+    def fresh():
+        return (TK.Tokenizer(merges),), {}
+
+    ids = benchmark.pedantic(encode_all, setup=fresh, rounds=5)
+    assert len(ids) == 3 * 32 and all(len(i) > 1 for i in ids)
+
+
+def test_tokenized_corpus_build(benchmark, merges):
+    docs = C.synthesize_documents(640, seed=1)
+
+    def fresh():
+        return (docs, TK.Tokenizer(merges), 512), {"seed": 0}
+
+    corpus = benchmark.pedantic(TR.TokenizedCorpus.build, setup=fresh, rounds=3)
+    assert corpus.train_docs

@@ -1,13 +1,19 @@
 """Byte-fallback BPE tests."""
 
+import importlib.util
 import os
+import sys
 
 import numpy as np
 import pytest
 
+import oracles as O
 from specdec import tokenizer as TK
+from specdec import training as TR
 from specdec.errors import CheckpointFormatError, ContractError
 from test_model import fail_writes_halfway
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
 
 class TestRoundTrip:
@@ -135,3 +141,126 @@ class TestPersistence:
         path.write_text(text)
         with pytest.raises(CheckpointFormatError):
             TK.Tokenizer.load(path)
+
+
+class TestValidation:
+    @pytest.mark.parametrize("merges", [[(999, 2)],          # id not yet made
+                                        [(97, 258)],         # its own id
+                                        [(97, 98), (259, 97)],
+                                        [(-1, 97)],
+                                        [(97,)],
+                                        [(97, 98, 99)],
+                                        [("a", 98)],
+                                        [97]])
+    def test_bad_merge_is_contract_error(self, merges):
+        with pytest.raises(ContractError):
+            TK.Tokenizer(merges=merges)
+
+    @pytest.mark.parametrize("bad", [-1, 600, 259])
+    def test_decode_out_of_range_is_contract_error(self, bad):
+        tok = TK.Tokenizer(merges=[(97, 98)])  # ids 0..258
+        with pytest.raises(ContractError):
+            tok.decode([97, bad])
+        with pytest.raises(ContractError):
+            tok.decode_bytes([bad])
+
+    def test_decode_every_id_in_range(self):
+        tok = TK.Tokenizer(merges=[(97, 98), (258, 99)])
+        assert tok.decode_bytes(range(tok.vocab_size)).endswith(b"ababc")
+
+
+def _random_bytes(rng, n):
+    kind = int(rng.integers(5))
+    if kind == 0:
+        return bytes([int(rng.integers(256))]) * n                 # one byte repeated
+    if kind == 1:
+        return bytes(rng.choice([9, 10, 13, 32], size=n).tolist())  # whitespace only
+    if kind == 2:
+        return bytes(rng.choice([32, 97, 98, 10], size=n).tolist())  # few symbols
+    if kind == 3:
+        return bytes(rng.integers(128, 256, size=n).tolist())       # invalid UTF-8
+    return bytes(rng.integers(0, 256, size=n).tolist())
+
+
+@pytest.fixture(scope="module")
+def bench_tok():
+    return TK.Tokenizer.load(os.path.join(PERFBENCH, "weights", "tokenizer.json"))
+
+
+@pytest.fixture(scope="module")
+def perfbench_run():
+    """perfbench/run.py, imported without keeping its BLAS-thread
+    environment variables or its sys.path entries."""
+    env, path = dict(os.environ), list(sys.path)
+    spec = importlib.util.spec_from_file_location("perfbench_run", os.path.join(PERFBENCH, "run.py"))
+    module = importlib.util.module_from_spec(spec)
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        os.environ.clear()
+        os.environ.update(env)
+        sys.path[:] = path
+    return module
+
+
+class OracleChecked:
+    """A tokenizer whose every encode is checked against the oracle."""
+
+    def __init__(self, tok):
+        self.tok, self.calls = tok, 0
+
+    def encode(self, text, add_bos=False, add_eos=False):
+        ids = self.tok.encode(text, add_bos=add_bos, add_eos=add_eos)
+        expected = O.whole_text_encode(self.tok, text)
+        assert ids == [TK.BOS] * add_bos + expected + [TK.EOS] * add_eos, text
+        self.calls += 1
+        return ids
+
+
+class TestMatchesWholeTextPasses:
+    def test_random_bytes(self, bench_tok):
+        rng = np.random.default_rng(15)
+        small = TK.build_tokenizer("aaaa abab  ba\n\t" * 8 + "hello world " * 4, 300)
+        for tok in (bench_tok, small):
+            assert tok.encode(b"") == O.whole_text_encode(tok, b"") == []
+            for _ in range(400):
+                raw = _random_bytes(rng, int(rng.integers(1, 70)))
+                assert tok.encode(raw) == O.whole_text_encode(tok, raw), raw
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_benchmark_prompts_and_training_documents(self, bench_tok, perfbench_run, seed):
+        run = perfbench_run
+        checked = OracleChecked(bench_tok)
+        run.short_prompts(checked, seed)
+        run.long_prompts(checked, seed)
+        assert checked.calls == 3 * run.SHORT_PER_TASK + run.LONG_PROMPTS
+        docs = run.training_documents(run.WORKLOADS["draft_train"].docs, seed)
+        TR.TokenizedCorpus.build(docs, checked, 512, seed=0)
+        assert checked.calls == 3 * run.SHORT_PER_TASK + run.LONG_PROMPTS + 2 * len(docs)
+
+    def test_repeated_merge_keeps_first_rank(self):
+        tok = TK.Tokenizer(merges=[(97, 98), (97, 98), (258, 99), (259, 99)])
+        for text in ("abc ab abab", "aabbcc abcabc", "ab"):
+            ids = tok.encode(text)
+            assert ids == O.whole_text_encode(tok, text)
+            assert 259 not in ids and 261 not in ids
+        assert tok.encode("abc") == [260]
+
+    def test_warm_memo(self, bench_tok):
+        tok = TK.Tokenizer(bench_tok.merges)
+        texts = ["the fox watches the quiet field at dawn .", "3 + 4 = 7 .",
+                 "the fox the fox  the\tfox\n", "list of trees : oak , elm ."]
+        for _ in range(2):
+            for text in texts:
+                assert tok.encode(text) == O.whole_text_encode(tok, text)
+        assert tok._memo
+
+    def test_full_memo(self, bench_tok, monkeypatch):
+        monkeypatch.setattr(TK, "_MEMO_CAP", 3)
+        tok = TK.Tokenizer(bench_tok.merges)
+        rng = np.random.default_rng(3)
+        words = ["the", " fox", " owl", " river", " 12", " +", " =", "\n", " .", " ab"]
+        for _ in range(50):
+            text = "".join(rng.choice(words, size=int(rng.integers(1, 12))).tolist())
+            assert tok.encode(text) == O.whole_text_encode(tok, text), text
+            assert len(tok._memo) <= 3
