@@ -1,10 +1,11 @@
 """Benchmark harness: average acceptance length and speedup vs vanilla.
 
 Each cell (task, temperature, variant) decodes the same seeded prompts
-twice — vanilla then speculative — and reports tau (emitted tokens per
-target forward pass) and the wall-clock speedup ratio.  At temperature 0
-the two arms must emit identical token sequences; the harness enforces
-that, so speedup always compares equal work.  Within one process, reports
+twice, vanilla and speculative, the arm that runs first alternating from
+prompt to prompt, and reports tau (emitted tokens per target forward pass)
+and the wall-clock speedup ratio.  At temperature 0 the two arms must
+emit identical token sequences; the harness enforces that, so speedup
+always compares equal work.  Within one process, reports
 are deterministic functions of the config and seed except for
 wall-time-derived fields.  ``tau``, ``draft_passes`` and ``target_passes``
 also depend on the latency table that ``ModelDrafter`` measures once per
@@ -103,9 +104,6 @@ class BenchReport:
         return asdict(self)
 
 
-WALL_FIELDS = ("speedup", "wall_ms_vanilla", "wall_ms_spec")
-
-
 def _prompt_seed(seed, task, label, index):
     # stable across processes (unlike built-in str hashing)
     tag = int.from_bytes(hashlib.sha256(f"{task}/{label}".encode()).digest()[:4], "little")
@@ -115,7 +113,8 @@ def _prompt_seed(seed, task, label, index):
 
 def bench_cell(target, draft, tokenizer, task, temperature, drafting, bench, seed,
                variant=None):
-    """One report row: vanilla vs speculative over identical seeded prompts."""
+    """One report row: vanilla vs speculative over identical seeded prompts,
+    in an arm order that alternates from prompt to prompt."""
     variant = variant or draft.variant
     prompts = task_prompts(task, bench.prompts_per_task, seed=seed)
     drafter = ModelDrafter(draft, **asdict(drafting))
@@ -127,15 +126,18 @@ def bench_cell(target, draft, tokenizer, task, temperature, drafting, bench, see
     for i, prompt in enumerate(prompts):
         ids = tokenizer.encode(prompt, add_bos=True)
         gen_seed = _prompt_seed(seed, task, "gen", i)  # same for both arms and all variants
+        kw = dict(temperature=temperature, seed=gen_seed, eos_id=EOS)
+        arms = {"vanilla": lambda: vanilla_generate(target, ids, bench.max_new, **kw),
+                "spec": lambda: engine.generate(ids, bench.max_new, **kw)}
+        # the speculative arm goes first on odd prompts, so that neither arm
+        # always runs on caches the other warmed
+        order = ("vanilla", "spec") if i % 2 == 0 else ("spec", "vanilla")
         try:
-            want, van_stats = vanilla_generate(target, ids, bench.max_new,
-                                               temperature=temperature, seed=gen_seed,
-                                               eos_id=EOS)
-            got, spec_stats = engine.generate(ids, bench.max_new, temperature=temperature,
-                                              seed=gen_seed, eos_id=EOS)
+            out = {arm: arms[arm]() for arm in order}
         except CapacityError:
             skipped += 1
             continue
+        (want, van_stats), (got, spec_stats) = out["vanilla"], out["spec"]
         if temperature == 0.0 and got != want:
             raise ContractError(
                 f"greedy fairness violated on task {task!r} prompt {i}: "

@@ -168,7 +168,7 @@ def cmd_generate(args):
     print(tok.decode(out))
     _say(f"tau {stats.tau():.2f} over {stats.target_passes} target passes; "
          f"stats {stats.to_json()}")
-    _say(f"latency {json.dumps(drafter.latency.to_dict(), sort_keys=True)}")
+    _say(f"latency {json.dumps(dataclasses.asdict(drafter.latency), sort_keys=True)}")
     return EXIT_OK
 
 

@@ -152,11 +152,6 @@ def synthesize_documents(n_docs, seed=1234):
     return docs
 
 
-def corpus_text(n_docs=4000, seed=1234):
-    """The flat training text (tokenizer fodder)."""
-    return "\n".join(doc.text for doc in synthesize_documents(n_docs, seed))
-
-
 def task_prompts(task, n, seed=99):
     """Prompt strings for one benchmark task."""
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1,)))

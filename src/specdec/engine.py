@@ -196,7 +196,7 @@ def measure_latency(target):
                 times[repeat, 1, j] = _timed_ms(draft.forward, (feats, ids[None]), at,
                                                 draft_cache)
     verify, drafted = np.median(times, axis=0)
-    return LatencyTable(LATENCY_ROWS, verify, drafted)
+    return LatencyTable(list(LATENCY_ROWS), verify.tolist(), drafted.tolist())
 
 
 def _timed_ms(forward, inputs, positions, cache):

@@ -369,11 +369,6 @@ class TargetModel:
             features = ops.reshape(features, features.shape[1:])
         return ops.result(logits), ops.result(features)
 
-    def logits_from_features(self, features):
-        """Head applied to a feature Tensor (teacher supervision path)."""
-        ops = T.forward_ops()
-        return ops.result(self._logits(ops.leaf(features), ops))
-
     def _logits(self, features, ops):
         return self.head(self.final_norm(features, ops), ops)
 

@@ -93,10 +93,6 @@ _TAPE: list[_TapeEntry] = []
 _GRAD_ENABLED = True
 
 
-def tape_size():
-    return len(_TAPE)
-
-
 def clear_tape():
     """Drop recorded ops and their intermediate gradients.
 

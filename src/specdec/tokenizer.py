@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import json
 import re
-
-import numpy as np
+from collections import Counter
 
 from .errors import CheckpointFormatError, ContractError
 from .model import write_atomic
@@ -27,42 +26,25 @@ BOS = 256
 EOS = 257
 N_SPECIALS = 2
 
-_WHITESPACE = (9, 10, 13, 32)  # tab, newline, carriage return, space
-# the chunks _chunk_starts marks: one whitespace byte or the text's start,
-# then every byte up to the next whitespace
+# a chunk: one whitespace byte (tab, newline, carriage return, space) or
+# the text's start, then every byte up to the next whitespace
 _CHUNK = re.compile(rb"[\t\n\r ]?[^\t\n\r ]+|[\t\n\r ]")
 _MEMO_CAP = 1 << 14  # distinct chunks remembered per tokenizer
 _NO_MERGE = float("inf")
 
 
-def _chunk_starts(byte_ids):
-    """True where a pre-tokenization chunk begins (index 0 and whitespace)."""
-    starts = np.zeros(len(byte_ids), dtype=bool)
-    if len(byte_ids):
-        starts[0] = True
-        for ws in _WHITESPACE:
-            starts |= byte_ids == ws
-    return starts
-
-
-def _merge_pass(ids, starts, a, b, new_id):
-    """Replace non-overlapping within-chunk (a, b) pairs with new_id."""
-    if len(ids) < 2:
-        return ids, starts
-    match = (ids[:-1] == a) & (ids[1:] == b) & ~starts[1:]
-    idx = np.flatnonzero(match)
-    if idx.size == 0:
-        return ids, starts
-    if a == b and idx.size > 1:
-        # runs of consecutive matches overlap; keep every other one
-        run_start = np.r_[True, np.diff(idx) != 1]
-        run_first = idx[run_start][np.cumsum(run_start) - 1]
-        idx = idx[(idx - run_first) % 2 == 0]
-    out = ids.copy()
-    out[idx] = new_id
-    keep = np.ones(len(ids), dtype=bool)
-    keep[idx + 1] = False
-    return out[keep], starts[keep]
+def _merge(ids, a, b, new_id):
+    """``ids`` with each (a, b) pair, taken left to right without overlap,
+    replaced by ``new_id``."""
+    out, i, n = [], 0, len(ids)
+    while i < n:
+        if ids[i] == a and i + 1 < n and ids[i + 1] == b:
+            out.append(new_id)
+            i += 2
+        else:
+            out.append(ids[i])
+            i += 1
+    return out
 
 
 class Tokenizer:
@@ -117,16 +99,7 @@ class Tokenizer:
             new_id = ranks.get(pair)
             if new_id is None:
                 break
-            a, b = pair
-            merged, i, n = [], 0, len(ids)
-            while i < n:
-                if ids[i] == a and i + 1 < n and ids[i + 1] == b:
-                    merged.append(new_id)
-                    i += 2
-                else:
-                    merged.append(ids[i])
-                    i += 1
-            ids = merged
+            ids = _merge(ids, *pair, new_id)
         return tuple(ids)
 
     def decode_bytes(self, ids):
@@ -166,30 +139,31 @@ class Tokenizer:
 def build_tokenizer(corpus_text, vocab_size):
     """Learn greedy byte-pair merges until the vocabulary is full.
 
-    vocab_size == 258 yields the pure byte tokenizer.  Merge learning
-    stops early when no within-chunk pair repeats.
+    The corpus is split into the chunks ``encode`` uses, and each distinct
+    chunk is counted once, weighted by how often it occurs.  Each merge is
+    the pair most frequent inside chunks (overlapping pairs included; a tie
+    goes to the smallest pair) and is applied to every chunk by ``_merge``,
+    the routine ``encode`` uses.  vocab_size == 258 yields the pure byte
+    tokenizer.  Merge learning stops early when no within-chunk pair
+    repeats.
     """
     if vocab_size < N_BYTES + N_SPECIALS:
         raise ContractError(f"vocab_size must be >= {N_BYTES + N_SPECIALS}, got {vocab_size}")
     if not corpus_text:
         raise ContractError("cannot build a tokenizer from an empty corpus")
     data = corpus_text.encode("utf-8") if isinstance(corpus_text, str) else bytes(corpus_text)
-    ids = np.frombuffer(data, dtype=np.uint8).astype(np.int32)
-    starts = _chunk_starts(ids)
+    chunks = [(list(chunk), n) for chunk, n in Counter(_CHUNK.findall(data)).items()]
     merges = []
-    for _ in range(vocab_size - N_BYTES - N_SPECIALS):
-        if len(ids) < 2:
+    for new_id in range(N_BYTES + N_SPECIALS, vocab_size):
+        counts = Counter()
+        for ids, n in chunks:
+            for pair in zip(ids, ids[1:]):
+                counts[pair] += n
+        if not counts:
             break
-        inside = ~starts[1:]
-        if not inside.any():
+        pair = min(counts, key=lambda p: (-counts[p], p))
+        if counts[pair] < 2:
             break
-        packed = ids[:-1][inside].astype(np.int64) * (1 << 32) + ids[1:][inside]
-        uniq, counts = np.unique(packed, return_counts=True)
-        best = counts.argmax()
-        if counts[best] < 2:
-            break
-        pair = (int(uniq[best] >> 32), int(uniq[best] & 0xFFFFFFFF))
-        new_id = N_BYTES + N_SPECIALS + len(merges)
         merges.append(pair)
-        ids, starts = _merge_pass(ids, starts, pair[0], pair[1], new_id)
+        chunks = [(_merge(ids, *pair, new_id), n) for ids, n in chunks]
     return Tokenizer(merges=merges)

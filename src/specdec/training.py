@@ -14,7 +14,6 @@ Composite objective: loss_weight * token_loss + feature_loss.
 from __future__ import annotations
 
 import contextlib
-import hashlib
 import json
 import time
 import warnings
@@ -188,14 +187,6 @@ def _pad_batch(docs):
         valid[i, : len(toks)] = True
         response[i, prompt_len: len(toks)] = True
     return tokens, valid, response
-
-
-def target_param_hash(target):
-    h = hashlib.sha256()
-    for name, t in sorted(target.named_tensors().items()):
-        h.update(name.encode())
-        h.update(np.ascontiguousarray(t.data, dtype=np.float32).tobytes())
-    return h.hexdigest()
 
 
 def _teacher_forced(target, draft, tokens, valid, response):

@@ -41,6 +41,7 @@ which its children's draft pass reads.
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -88,25 +89,15 @@ class TokenTree:
         return json.dumps({"nodes": nodes}, sort_keys=True)
 
 
+@dataclass
 class LatencyTable:
-    """Target-verify and draft-pass milliseconds by row count.
+    """Target-verify and draft-pass milliseconds measured at a few
+    ascending row counts ``rows``.  The builder interpolates between them
+    linearly and prices a count past the last one as the last."""
 
-    Measured at a few row counts ``rows`` and interpolated once, linearly,
-    into two arrays indexed by row count up to the last measured one,
-    ``verify_ms`` and ``draft_ms``.  The builder prices a count past the
-    end as the last entry.
-    """
-
-    def __init__(self, rows, verify_ms, draft_ms):
-        self.rows = [int(r) for r in rows]
-        self.measured = {"verify_ms": [float(v) for v in verify_ms],
-                         "draft_ms": [float(d) for d in draft_ms]}
-        grid = np.arange(self.rows[-1] + 1)
-        self.verify_ms = np.interp(grid, self.rows, self.measured["verify_ms"])
-        self.draft_ms = np.interp(grid, self.rows, self.measured["draft_ms"])
-
-    def to_dict(self):
-        return {"rows": self.rows, **self.measured}
+    rows: list
+    verify_ms: list
+    draft_ms: list
 
 
 # a constant verify cost and free draft passes: every level expands
@@ -152,8 +143,9 @@ def build_draft_tree(draft, root_feature, root_token, *, depth, expand_k, select
     out = draft.forward(feats[None], [ids], cache=cache)
     prefix = len(cache) - 1   # the root's row and position; every key before it is committed
     passes = 1
-    verify_ms = np.take(latency.verify_ms, np.arange(budget + select_m + 2), mode="clip")
-    draft_ms = np.take(latency.draft_ms, np.arange(select_m + 1), mode="clip")
+    counts = np.arange(budget + select_m + 2)
+    verify_ms = np.interp(counts, latency.rows, latency.verify_ms)
+    draft_ms = np.interp(counts[:select_m + 1], latency.rows, latency.draft_ms)
     spent = float(draft_ms[1])  # draft ms so far: the root pass
 
     cap = 1 + depth * select_m * expand_k

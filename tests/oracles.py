@@ -2,7 +2,7 @@
 
 Everything here deliberately avoids the production code paths: pools are
 regenerated with per-path linear decodes, masks are derived from parent
-walks, subset selection is exhaustive, BPE ids come from rank-ordered
+walks, subset selection is exhaustive, BPE ids and merges come from
 whole-text merge passes and corpus draws from ``Generator.choice``.
 """
 
@@ -13,6 +13,13 @@ import numpy as np
 from specdec import corpus as C
 from specdec import tensor as T
 from specdec import tokenizer as TK
+
+
+def logits_from_features(target, features):
+    """The target's final norm and head applied to a feature Tensor."""
+    ops = T.forward_ops()
+    x = ops.leaf(features)
+    return ops.result(target.head(target.final_norm(x, ops), ops))
 
 
 def mask_by_parent_walk(tree, prefix_len):
@@ -134,13 +141,13 @@ def best_closed_subset(pool, budget):
 def best_rate_subset(pool, budget, spent, verify_ms):
     """(subset, rate, gain) of the ancestor-closed subset of at most
     ``budget`` nodes with the most expected tokens, 1 + ``gain`` (its summed
-    joint), per millisecond of ``spent`` plus ``verify_ms[size + 1]``, by
+    joint), per millisecond of ``spent`` plus ``verify_ms(size + 1)``, by
     ``best_closed_subset`` at every size; ties go to the larger subset."""
     best = (None, -1.0, 0.0)
     for size in range(min(budget, len(pool)) + 1):
         subset = best_closed_subset(pool, size)
         gain = sum(pool[i]["joint"] for i in subset)
-        rate = (1.0 + gain) / (spent + verify_ms[size + 1])
+        rate = (1.0 + gain) / (spent + verify_ms(size + 1))
         if rate >= best[1]:
             best = (subset, rate, gain)
     return best
@@ -154,17 +161,25 @@ def cost_aware_pool(draft, root_feature, root_token, depth, expand_k, select_m, 
     After each level the best cut comes from ``best_rate_subset``; the m
     best newest nodes (m <= ``select_m``) with the highest optimistic
     bound, (1 + cut gain + their summed joint) per millisecond of the
-    draft time spent plus ``draft_ms[m]`` plus ``verify_ms[cut + 1 + m]``,
+    draft time spent plus ``draft_ms(m)`` plus ``verify_ms(cut + 1 + m)``,
     are expanded when that bound reaches the cut's rate (ties to the larger
-    m).  Returns (pool, subset, widths), ``widths`` being the number of
-    nodes expanded at each level after the first.
+    m).  Both costs are the table's linear interpolation at a row count,
+    its last entry past its last row.  Returns (pool, subset, widths),
+    ``widths`` being the number of nodes expanded at each level after the
+    first.
     """
+    def verify_ms(rows):
+        return float(np.interp(rows, latency.rows, latency.verify_ms))
+
+    def draft_ms(rows):
+        return float(np.interp(rows, latency.rows, latency.draft_ms))
+
     widths = []
-    spent = latency.draft_ms[1]                     # the root pass, one row
+    spent = draft_ms(1)                             # the root pass, one row
     while True:
         level = len(widths) + 1
         pool = enumerate_beam_pool(draft, root_feature, root_token, level, expand_k, widths)
-        subset, rate, gain = best_rate_subset(pool, budget, spent, latency.verify_ms)
+        subset, rate, gain = best_rate_subset(pool, budget, spent, verify_ms)
         newest = sorted((-n["joint"], n["depth"], n["token"], n["order"])
                         for n in pool if n["depth"] == level)[:select_m]
         if level == depth or not newest:
@@ -172,13 +187,13 @@ def cost_aware_pool(draft, root_feature, root_token, depth, expand_k, select_m, 
         best_m, best_bound = 0, -1.0
         for m in range(1, len(newest) + 1):
             bound = (1.0 + gain + sum(-key[0] for key in newest[:m])) / (
-                spent + latency.draft_ms[m] + latency.verify_ms[len(subset) + 1 + m])
+                spent + draft_ms(m) + verify_ms(len(subset) + 1 + m))
             if bound >= best_bound:
                 best_m, best_bound = m, bound
         if best_bound < rate:
             return pool, subset, widths
         widths.append(best_m)
-        spent += latency.draft_ms[best_m]
+        spent += draft_ms(best_m)
 
 
 def node_signature(pool, subset):
@@ -206,15 +221,75 @@ def tree_signature(tree):
     return sorted(out)
 
 
+_WHITESPACE = (9, 10, 13, 32)  # tab, newline, carriage return, space
+
+
+def _chunk_starts(byte_ids):
+    """True where a pre-tokenization chunk begins (index 0 and whitespace)."""
+    starts = np.zeros(len(byte_ids), dtype=bool)
+    if len(byte_ids):
+        starts[0] = True
+        for ws in _WHITESPACE:
+            starts |= byte_ids == ws
+    return starts
+
+
+def _merge_pass(ids, starts, a, b, new_id):
+    """Replace non-overlapping within-chunk (a, b) pairs with new_id."""
+    if len(ids) < 2:
+        return ids, starts
+    match = (ids[:-1] == a) & (ids[1:] == b) & ~starts[1:]
+    idx = np.flatnonzero(match)
+    if idx.size == 0:
+        return ids, starts
+    if a == b and idx.size > 1:
+        # runs of consecutive matches overlap; keep every other one
+        run_start = np.r_[True, np.diff(idx) != 1]
+        run_first = idx[run_start][np.cumsum(run_start) - 1]
+        idx = idx[(idx - run_first) % 2 == 0]
+    out = ids.copy()
+    out[idx] = new_id
+    keep = np.ones(len(ids), dtype=bool)
+    keep[idx + 1] = False
+    return out[keep], starts[keep]
+
+
+def _byte_ids(text):
+    data = text.encode("utf-8") if isinstance(text, str) else bytes(text)
+    return np.frombuffer(data, dtype=np.uint8).astype(np.int32)
+
+
 def whole_text_encode(tok, text):
     """BPE ids by whole-text passes: every merge, in rank order, replaces
     its non-overlapping within-chunk pairs across the whole text."""
-    data = text.encode("utf-8") if isinstance(text, str) else bytes(text)
-    ids = np.frombuffer(data, dtype=np.uint8).astype(np.int32)
-    starts = TK._chunk_starts(ids)
+    ids = _byte_ids(text)
+    starts = _chunk_starts(ids)
     for rank, (a, b) in enumerate(tok.merges):
-        ids, starts = TK._merge_pass(ids, starts, a, b, TK.N_BYTES + TK.N_SPECIALS + rank)
+        ids, starts = _merge_pass(ids, starts, a, b, TK.N_BYTES + TK.N_SPECIALS + rank)
     return ids.tolist()
+
+
+def whole_text_merges(corpus_text, vocab_size):
+    """BPE merges learned by whole-text passes: each round counts every
+    within-chunk pair of the text (overlapping ones included), takes the
+    most frequent, the smallest on a tie, and merges it across the text;
+    it stops when no pair repeats or the vocabulary is full."""
+    ids = _byte_ids(corpus_text)
+    starts = _chunk_starts(ids)
+    merges = []
+    for new_id in range(TK.N_BYTES + TK.N_SPECIALS, vocab_size):
+        inside = ~starts[1:]
+        if not inside.any():
+            break
+        packed = ids[:-1][inside].astype(np.int64) * (1 << 32) + ids[1:][inside]
+        uniq, counts = np.unique(packed, return_counts=True)
+        best = counts.argmax()
+        if counts[best] < 2:
+            break
+        pair = (int(uniq[best] >> 32), int(uniq[best] & 0xFFFFFFFF))
+        merges.append(pair)
+        ids, starts = _merge_pass(ids, starts, pair[0], pair[1], new_id)
+    return merges
 
 
 def zipf_choice_by_generator(rng, pool):

@@ -18,7 +18,8 @@ from test_model import fail_writes_halfway
 
 @pytest.fixture(scope="module")
 def micro_run():
-    tok = TK.build_tokenizer(C.corpus_text(n_docs=120, seed=5), 300)
+    text = "\n".join(doc.text for doc in C.synthesize_documents(120, seed=5))
+    tok = TK.build_tokenizer(text, 300)
     cfg = M.ModelConfig(vocab_size=tok.vocab_size, hidden_size=16, intermediate_size=24,
                         n_layers=1, n_heads=2, max_seq_len=256)
     target = M.TargetModel(cfg, seed=0)
@@ -66,6 +67,27 @@ class TestBenchCell:
                          B.DraftingConfig(depth=2, expand_k=2, select_m=2, budget=4),
                          small_bench(), seed=3)
 
+    def test_arm_order_alternates(self, micro_run, monkeypatch):
+        tok, target, drafts = micro_run
+        calls = []
+        vanilla, generate = B.vanilla_generate, E.SpeculativeEngine.generate
+
+        def recorded_vanilla(*args, **kwargs):
+            calls.append("vanilla")
+            return vanilla(*args, **kwargs)
+
+        def recorded_generate(self, *args, **kwargs):
+            calls.append("spec")
+            return generate(self, *args, **kwargs)
+
+        monkeypatch.setattr(B, "vanilla_generate", recorded_vanilla)
+        monkeypatch.setattr(E.SpeculativeEngine, "generate", recorded_generate)
+        report = B.bench_cell(target, drafts["fspad"], tok, "continuation", 0.0,
+                              B.DraftingConfig(depth=2, expand_k=2, select_m=2, budget=4),
+                              small_bench(prompts_per_task=4), seed=3)
+        assert calls == ["vanilla", "spec", "spec", "vanilla"] * 2
+        assert report.prompts_run == 4
+
     def test_stochastic_temperature_cell(self, micro_run):
         tok, target, drafts = micro_run
         report = B.bench_cell(target, drafts["fspad"], tok, "continuation", 1.0,
@@ -96,7 +118,7 @@ class TestRunBench:
         b = B.run_bench(target, {"fspad": drafts["fspad"]}, tok, **kw)
         for ra, rb in zip(a, b):
             da, db = ra.to_dict(), rb.to_dict()
-            for f in B.WALL_FIELDS:
+            for f in ("speedup", "wall_ms_vanilla", "wall_ms_spec"):
                 da.pop(f)
                 db.pop(f)
             assert da == db

@@ -1,6 +1,7 @@
 """CLI tests: end-to-end tiny run, config drift protection, exit codes."""
 
 import argparse
+import dataclasses
 import json
 
 import pytest
@@ -53,7 +54,7 @@ class TestEndToEnd:
         stats = json.loads(captured.err.split("stats ", 1)[1].splitlines()[0])
         assert stats["target_passes"] >= 1
         latency = json.loads(captured.err.split("latency ", 1)[1].splitlines()[0])
-        assert latency == TR.FIXED_BUDGET.to_dict()   # the table the drafter used
+        assert latency == dataclasses.asdict(TR.FIXED_BUDGET)   # the table the drafter used
 
     def test_bench_writes_reports(self, tiny_run):
         import os

@@ -24,7 +24,7 @@ def test_documents_prompts_and_corpus_match_generator_choice(seed, monkeypatch):
     def outputs():
         docs = [(d.kind, d.sentences, d.split) for d in C.synthesize_documents(300, seed)]
         prompts = [C.task_prompts(task, 12, seed) for task in C.TASKS]
-        return docs, prompts, C.corpus_text(150, seed)
+        return docs, prompts, "\n".join(doc.text for doc in C.synthesize_documents(150, seed))
 
     ours = outputs()
     monkeypatch.setattr(C, "_zipf_choice", O.zipf_choice_by_generator)

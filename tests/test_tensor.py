@@ -365,13 +365,13 @@ class TestTapeAndProperties:
         data_before = x.data.copy()
         T.clear_tape()
         np.testing.assert_array_equal(x.data, data_before)
-        assert T.tape_size() == 0
+        assert len(T._TAPE) == 0
 
     def test_no_grad_records_nothing(self):
         x = T.Tensor(np.ones(3), requires_grad=True)
         with T.no_grad():
             T.mul(x, x)
-        assert T.tape_size() == 0
+        assert len(T._TAPE) == 0
 
 
 class TestAdamW:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import oracles as O
+from specdec import corpus as C
 from specdec import tokenizer as TK
 from specdec import training as TR
 from specdec.errors import CheckpointFormatError, ContractError
@@ -72,29 +73,44 @@ class TestVocabulary:
 
 
 class TestMergePass:
+    """The merge rule on the program's ``_merge``, ``encode`` and
+    ``build_tokenizer``, and on the whole-text oracle."""
+
     def _starts(self, n):
         s = np.zeros(n, dtype=bool)
         s[0] = True
         return s
 
     def test_overlapping_same_byte_runs(self):
+        assert TK._merge([7, 7, 7, 7, 7], 7, 7, 99) == [99, 99, 7]
         ids = np.array([7, 7, 7, 7, 7], dtype=np.int32)
-        out, _ = TK._merge_pass(ids, self._starts(5), 7, 7, 99)
+        out, _ = O._merge_pass(ids, self._starts(5), 7, 7, 99)
         np.testing.assert_array_equal(out, [99, 99, 7])
+        assert TK.Tokenizer(merges=[(97, 97)]).encode("aaaaa") == [258, 258, 97]
+        # "aaa" holds two overlapping (a, a) pairs, which count as two, but
+        # merging leaves [258, 97], so no pair repeats after the first merge
+        assert TK.build_tokenizer("aaa", 262).merges == [(97, 97)]
 
     def test_interleaved(self):
+        assert TK._merge([1, 2, 1, 2], 1, 2, 50) == [50, 50]
         ids = np.array([1, 2, 1, 2], dtype=np.int32)
-        out, _ = TK._merge_pass(ids, self._starts(4), 1, 2, 50)
+        out, _ = O._merge_pass(ids, self._starts(4), 1, 2, 50)
         np.testing.assert_array_equal(out, [50, 50])
+        assert TK.Tokenizer(merges=[(97, 98)]).encode("abab") == [258, 258]
+        assert TK.build_tokenizer("abab", 262).merges == [(97, 98)]
 
     def test_merges_never_cross_chunk_boundary(self):
         ids = np.array([1, 2, 1, 2], dtype=np.int32)
         starts = np.array([True, False, True, False])
-        out, starts_out = TK._merge_pass(ids, starts, 1, 2, 50)
+        out, starts_out = O._merge_pass(ids, starts, 1, 2, 50)
         np.testing.assert_array_equal(out, [50, 50])
         # pair (2, 1) across the boundary must never merge
-        out2, _ = TK._merge_pass(out, starts_out, 50, 50, 60)
+        out2, _ = O._merge_pass(out, starts_out, 50, 50, 60)
         np.testing.assert_array_equal(out2, [50, 50])
+        # (a, tab) spans a chunk boundary: it is neither applied nor learned,
+        # although across the whole text it is the most frequent pair
+        assert TK.Tokenizer(merges=[(97, 9)]).encode("a\ta") == [97, 9, 97]
+        assert TK.build_tokenizer("a\ta\ta\ta\t", 262).merges == [(9, 97)]
 
 
 class TestBoundaryStability:
@@ -215,6 +231,31 @@ class OracleChecked:
         assert ids == [TK.BOS] * add_bos + expected + [TK.EOS] * add_eos, text
         self.calls += 1
         return ids
+
+
+class TestTrainerMatchesWholeTextPasses:
+    """``build_tokenizer`` learns the merges of the whole-text trainer."""
+
+    def test_random_bytes(self):
+        rng = np.random.default_rng(16)
+        for _ in range(60):
+            raw = _random_bytes(rng, int(rng.integers(1, 400)))
+            if rng.random() < 0.3:
+                raw = b" \t"[:int(rng.integers(1, 3))] + raw           # leading whitespace
+            vocab = int(rng.integers(258, 330))
+            assert TK.build_tokenizer(raw, vocab).merges == O.whole_text_merges(raw, vocab), raw
+
+    def test_text(self):
+        text = "aaaa abab  ba\n\t" * 8 + "hello world " * 4 + "zzzzzzz  zz"
+        assert TK.build_tokenizer(text, 320).merges == O.whole_text_merges(text, 320)
+
+    def test_benchmark_tokenizer_file(self, tmp_path):
+        # the corpus and vocabulary perfbench/make_weights.py builds it from
+        docs = C.synthesize_documents(4000, seed=1234)
+        path = tmp_path / "tokenizer.json"
+        TK.build_tokenizer("\n".join(d.text for d in docs), 512).save(path)
+        with open(os.path.join(PERFBENCH, "weights", "tokenizer.json"), "rb") as f:
+            assert path.read_bytes() == f.read()
 
 
 class TestMatchesWholeTextPasses:

@@ -1,5 +1,6 @@
 """Token-tree construction, child order and masks against oracles."""
 
+import dataclasses
 import json
 import os
 
@@ -227,13 +228,15 @@ class TestCostAwareCut:
         assert golden_trees(latency=constant) == want
 
     def test_table_interpolates(self):
+        # three measured points price every row count as a table of all of
+        # them does: linear in between, the last entry past the last row
         table = TR.LatencyTable([1, 8, 64], [1.0, 2.4, 13.6], [0.5, 0.5, 1.9])
+        assert dataclasses.asdict(table) == {"rows": [1, 8, 64], "verify_ms": [1.0, 2.4, 13.6],
+                                             "draft_ms": [0.5, 0.5, 1.9]}
         rows = np.arange(1, 65)
-        assert len(table.verify_ms) == len(table.draft_ms) == 65
-        np.testing.assert_allclose(table.verify_ms[rows], 0.8 + 0.2 * rows)
-        np.testing.assert_allclose(table.draft_ms[8:], 0.5 + 0.025 * (np.arange(8, 65) - 8))
-        assert table.to_dict() == {"rows": [1, 8, 64], "verify_ms": [1.0, 2.4, 13.6],
-                                   "draft_ms": [0.5, 0.5, 1.9]}
+        dense = TR.LatencyTable(rows, 0.8 + 0.2 * rows,
+                                np.where(rows < 8, 0.5, 0.5 + 0.025 * (rows - 8)))
+        assert golden_trees(latency=table) == golden_trees(latency=dense)
 
 
 class TestTopK:
