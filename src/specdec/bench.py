@@ -46,6 +46,11 @@ class DraftingConfig(ConfigSection):
     select_m: int = 8
     budget: int = 60
 
+    def __post_init__(self):
+        for name in ("depth", "expand_k", "select_m", "budget"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"drafting.{name} must be >= 1, got {getattr(self, name)}")
+
     def halved(self):
         """Half the node budget and the per-step top-k, same depth."""
         return DraftingConfig(depth=self.depth, expand_k=max(1, self.expand_k // 2),

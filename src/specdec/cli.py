@@ -71,7 +71,7 @@ def load_config(args):
     for flag, attr in (("budget", "budget"), ("topk", "expand_k"), ("depth", "depth")):
         value = getattr(args, flag, None)
         if value is not None:
-            setattr(cfg.drafting, attr, value)
+            cfg.drafting = dataclasses.replace(cfg.drafting, **{attr: value})
     return cfg
 
 

@@ -11,10 +11,16 @@ i into the layer's input row.
 
 Both forwards share one preamble: positions default to following the
 cache, the boolean visibility mask defaults to causal and becomes an
-additive bias once, and the rows of the rotary tables for those positions
-are picked once per forward and handed to every layer.  The tables
-themselves are built once per (max_seq_len, head_dim, base, dtype), so a
-model builds them once.
+additive bias once (none at all when every row sees every key, as in a
+1-row decode), and the rows of the rotary tables for those positions are
+picked once per forward and handed to every layer.  The tables themselves
+are built once per (max_seq_len, head_dim, base, dtype), so a model builds
+them once.
+
+Each attention layer keeps its Q, K and V projections in one (3, hidden,
+hidden) parameter, computed by one matmul and rotated by one RoPE; the
+names ``attn.wq`` / ``attn.wk`` / ``attn.wv`` stay, each a live view of
+its slab, so checkpoints still store one tensor per name.
 
 Every forward picks its ops once (``tensor.forward_ops()``) and hands
 them to every layer with the rotary rows and the bias: the tape ops
@@ -33,6 +39,7 @@ import os
 import struct
 from dataclasses import asdict, dataclass, fields
 from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -148,15 +155,6 @@ def rotary_rows(config, positions, dtype=np.float32):
     return c[positions], s[positions]
 
 
-def _apply_rope(x, rope, ops):
-    # x: (B, H, T, Dh); the (T, Dh) rows broadcast over batch and heads.
-    # x * C + swap(x) * S is [x1*cos - x2*sin, x2*cos + x1*sin], bit for bit.
-    c, s = rope
-    half = x.shape[-1] // 2
-    x1, x2 = ops.split_last(x, [half, half])
-    return ops.add(ops.mul(x, c), ops.mul(ops.concat_last([x2, x1]), s))
-
-
 class KvCache:
     """Per-layer cached keys/values for one sequence (batch 1).
 
@@ -231,25 +229,58 @@ def _reserve(bufs, layer, n, end, like):
     return buf
 
 
+class _Slab:
+    """Slab ``index`` of a stacked parameter, standing in for a weight of
+    its own: ``data`` reads the slab, assigning ``data`` copies into it,
+    and ``grad`` reads the stack's gradient at the slab."""
+
+    __slots__ = ("stack", "index")
+
+    def __init__(self, stack, index):
+        self.stack = stack
+        self.index = index
+
+    @property
+    def data(self):
+        return self.stack.data[self.index]
+
+    @data.setter
+    def data(self, value):
+        self.stack.data[self.index] = value
+
+    @property
+    def grad(self):
+        return None if self.stack.grad is None else self.stack.grad[self.index]
+
+
+def _distinct(named):
+    """The parameters behind ``named`` in order, a stack once for all its slabs."""
+    return list(dict.fromkeys(t.stack if isinstance(t, _Slab) else t for t in named.values()))
+
+
 class Attention:
     def __init__(self, rng, config):
         c = config.hidden_size
         self.config = config
-        self.wq = Linear(rng, c, c)
-        self.wk = Linear(rng, c, c)
-        self.wv = Linear(rng, c, c)
+        # drawn as three (c, c) projections, in the order the separate
+        # layout drew them, so that every initialisation stays the same
+        self.wqkv = Tensor(np.stack([_init(rng, (c, c)).data for _ in range(3)]),
+                           requires_grad=True)
+        self.wq, self.wk, self.wv = (SimpleNamespace(weight=_Slab(self.wqkv, i)) for i in range(3))
         self.wo = Linear(rng, c, c)
 
     def __call__(self, x, rope, bias, cache=None, layer_idx=0, ops=T.TAPE):
         b, t, c = x.shape
         h, dh = self.config.n_heads, self.config.head_dim
 
-        def heads(z):
-            return ops.transpose(ops.reshape(z, (b, t, h, dh)), (0, 2, 1, 3))
-
-        q = _apply_rope(heads(self.wq(x, ops)), rope, ops)
-        k = _apply_rope(heads(self.wk(x, ops)), rope, ops)
-        v = heads(self.wv(x, ops))
+        # (1, b*t, c) @ (3, c, c): the three projections in one call, and
+        # one rotation of q|k, (2, b, t, h, dh), by the (t, 1, dh) rows
+        qkv = ops.matmul(ops.reshape(x, (1, b * t, c)), ops.leaf(self.wqkv))
+        qkv = ops.reshape(qkv, (3, b, t, h, dh))
+        qk = ops.rope(ops.index(qkv, slice(0, 2)), rope[0][:, None], rope[1][:, None])
+        qk = ops.transpose(qk, (0, 1, 3, 2, 4))
+        q, k = ops.index(qk, 0), ops.index(qk, 1)
+        v = ops.transpose(ops.index(qkv, 2), (0, 2, 1, 3))
 
         if cache is not None:
             if b != 1:
@@ -310,7 +341,8 @@ def _preamble(config, x, positions, mask, cache):
     """Rotary rows and additive bias for the rows of ``x`` (B, T, hidden).
 
     ``positions`` default to following the cache and ``mask``, a boolean
-    (T, cached + T) visibility, to causal.  T must be at least 1.
+    (T, cached + T) visibility, to causal.  The bias is None when every
+    row sees every key.  T must be at least 1.
     """
     t = x.shape[1]
     if t == 0:
@@ -329,9 +361,12 @@ def _preamble(config, x, positions, mask, cache):
         raise ContractError(
             f"attention mask shape {mask.shape} does not match (queries, keys) = ({t}, {past + t})"
         )
+    rope = rotary_rows(config, positions, x.dtype)
+    if mask.all():
+        return rope, None
     bias = np.zeros(mask.shape, dtype=np.float32)
     bias[~mask] = MASK_OFF
-    return rotary_rows(config, positions, x.dtype), bias
+    return rope, bias
 
 
 class TargetModel:
@@ -384,7 +419,7 @@ class TargetModel:
         return out
 
     def parameters(self):
-        return list(self.named_tensors().values())
+        return _distinct(self.named_tensors())
 
     def set_trainable(self, flag):
         for p in self.parameters():
@@ -493,7 +528,8 @@ class DraftModel:
         r = self.layer.residual_after_attention(fused, rope, bias, cache, 0, ops)
         m = self.layer.mlp(self.layer.mlp_norm(r, ops), ops)
         if self.dual_path:
-            m_logit, m_auto = ops.split_last(m, [self.config.hidden_size] * 2)
+            h = self.config.hidden_size
+            m_logit, m_auto = ops.index(m, (..., slice(0, h))), ops.index(m, (..., slice(h, None)))
             logit_feature, next_feature = ops.add(r, m_logit), ops.add(r, m_auto)
         else:
             logit_feature = next_feature = ops.add(r, m)
@@ -510,7 +546,7 @@ class DraftModel:
         return {**self.connector.named_tensors(), **self.layer.named_tensors("layer.")}
 
     def parameters(self):
-        return list(self.named_tensors().values())
+        return _distinct(self.named_tensors())
 
     def set_trainable(self, flag):
         for p in self.parameters():

@@ -19,6 +19,7 @@ bit-identical to the tape's.
 
 from __future__ import annotations
 
+import operator
 import sys
 import warnings
 from contextlib import contextmanager
@@ -172,9 +173,11 @@ def _unbroadcast(g, shape):
 def _scale_bias(x, s, bias):
     """``x * s + bias``, written into ``x``: pass a score array that
     nothing else reads.  ``s`` multiplies as a Python float, so a float32
-    ``x`` stays float32; ``bias`` is cast to x's dtype first."""
+    ``x`` stays float32; ``bias`` is cast to x's dtype first, and a None
+    bias adds nothing."""
     np.multiply(x, float(s), out=x)
-    x += np.asarray(bias).astype(x.dtype, copy=False)
+    if bias is not None:
+        x += np.asarray(bias).astype(x.dtype, copy=False)
     return x
 
 
@@ -198,8 +201,8 @@ def add(a, b):
 
     def bw(g):
         return (
-            _unbroadcast(g, a.data.shape).astype(a.dtype),
-            _unbroadcast(g, b.data.shape).astype(b.dtype),
+            _unbroadcast(g, a.data.shape).astype(a.dtype, copy=False),
+            _unbroadcast(g, b.data.shape).astype(b.dtype, copy=False),
         )
 
     return _record(out, (a, b), bw)
@@ -212,8 +215,8 @@ def sub(a, b):
 
     def bw(g):
         return (
-            _unbroadcast(g, a.data.shape).astype(a.dtype),
-            -_unbroadcast(g, b.data.shape).astype(b.dtype),
+            _unbroadcast(g, a.data.shape).astype(a.dtype, copy=False),
+            -_unbroadcast(g, b.data.shape).astype(b.dtype, copy=False),
         )
 
     return _record(out, (a, b), bw)
@@ -226,8 +229,8 @@ def mul(a, b):
 
     def bw(g):
         return (
-            _unbroadcast(g * b.data, a.data.shape).astype(a.dtype),
-            _unbroadcast(g * a.data, b.data.shape).astype(b.dtype),
+            _unbroadcast(g * b.data, a.data.shape).astype(a.dtype, copy=False),
+            _unbroadcast(g * a.data, b.data.shape).astype(b.dtype, copy=False),
         )
 
     return _record(out, (a, b), bw)
@@ -245,12 +248,43 @@ def scale(a, s):
 
 def scale_bias(x, s, bias):
     """``x * s + bias`` for a constant ``bias`` that broadcasts to x's
-    shape (no gradient flows into it)."""
+    shape (no gradient flows into it), or ``x * s`` for a None bias."""
     s = float(s)
     out = Tensor(_scale_bias(x.data.copy(), s, bias))
 
     def bw(g):
         return (g * s,)
+
+    return _record(out, (x,), bw)
+
+
+def _rope(x, c, s):
+    """``x * c + swap(x) * s``, written into ``x`` (pass an array nothing
+    else reads), where swap exchanges the two halves of the last axis and
+    the rows ``c`` and ``s`` broadcast against x: the rotary embedding, for
+    ``c = [cos, cos]`` and ``s = [-sin, sin]``.  One x-sized temporary."""
+    half = x.shape[-1] // 2
+    swapped = np.empty_like(x)
+    swapped[..., :half] = x[..., half:]
+    swapped[..., half:] = x[..., :half]
+    swapped *= s
+    x *= c
+    x += swapped
+    return x
+
+
+def rope(x, c, s):
+    """Rotary embedding of ``x`` by the constant rows ``c`` and ``s``."""
+    out = Tensor(_rope(x.data.copy(), c, s))
+
+    def bw(g):
+        # g * c + swap(g * s): swap is its own transpose
+        gs = g * s
+        gx = g * c
+        half = gx.shape[-1] // 2
+        gx[..., :half] += gs[..., half:]
+        gx[..., half:] += gs[..., :half]
+        return (gx,)
 
     return _record(out, (x,), bw)
 
@@ -279,16 +313,6 @@ def _transpose(x, axes):
 
 def _concat_last(arrays):
     return np.concatenate(arrays, axis=-1)
-
-
-def _split_last(x, sizes):
-    if sum(sizes) != x.shape[-1]:
-        raise DimensionError(f"split sizes {sizes} do not cover last axis {x.shape[-1]}")
-    pieces, lo = [], 0
-    for n in sizes:
-        pieces.append(x[..., lo: lo + n])
-        lo += n
-    return pieces
 
 
 def reshape(x, shape):
@@ -324,20 +348,16 @@ def concat_last(tensors):
     return _record(out, tuple(tensors), bw)
 
 
-def split_last(x, sizes):
-    """Split along the last axis into chunks of the given sizes."""
-    outs, lo = [], 0
-    for piece in _split_last(x.data, sizes):
-        hi = lo + piece.shape[-1]
+def index(x, key):
+    """``x[key]`` for a basic index (ints, slices, an Ellipsis): a view."""
+    out = Tensor(x.data[key])
 
-        def bw(g, lo=lo, hi=hi):
-            full = np.zeros_like(x.data)
-            full[..., lo:hi] = g
-            return (full,)
+    def bw(g):
+        full = np.zeros_like(x.data)
+        full[key] = g
+        return (full,)
 
-        outs.append(_record(Tensor(piece), (x,), bw))
-        lo = hi
-    return outs
+    return _record(out, (x,), bw)
 
 
 # ---------------------------------------------------------------------------
@@ -360,16 +380,20 @@ def _embedding(table, ids):
 
 
 def matmul(a, b):
-    """Matrix product; rank 2 or batched rank 3 with broadcasting."""
+    """Matrix product of rank >= 2 operands, batch axes broadcasting.
+    The backward computes the gradient of an operand only when it
+    requires one."""
     out = Tensor(_matmul(a.data, b.data))
 
     def bw(g):
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        return (
-            _unbroadcast(ga, a.data.shape).astype(a.dtype),
-            _unbroadcast(gb, b.data.shape).astype(b.dtype),
-        )
+        ga = gb = None
+        if a.requires_grad:
+            ga = _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.data.shape)
+            ga = ga.astype(a.dtype, copy=False)
+        if b.requires_grad:
+            gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.data.shape)
+            gb = gb.astype(b.dtype, copy=False)
+        return ga, gb
 
     return _record(out, (a, b), bw)
 
@@ -571,8 +595,8 @@ class _TapeOps:
 
 TAPE = _TapeOps()
 KERNELS = SimpleNamespace(
-    add=np.add, sub=np.subtract, mul=np.multiply, scale_bias=_scale_bias, silu=_silu,
-    reshape=_reshape, transpose=_transpose, concat_last=_concat_last, split_last=_split_last,
+    add=np.add, sub=np.subtract, mul=np.multiply, scale_bias=_scale_bias, silu=_silu, rope=_rope,
+    reshape=_reshape, transpose=_transpose, index=operator.getitem, concat_last=_concat_last,
     matmul=_matmul, embedding=_embedding, rms_norm=_rms_norm, softmax=_softmax,
     leaf=lambda t: t.data, const=_float_array, value=lambda x: x, result=Tensor)
 

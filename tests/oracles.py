@@ -3,14 +3,17 @@
 Everything here deliberately avoids the production code paths: pools are
 regenerated with per-path linear decodes, masks are derived from parent
 walks, subset selection is exhaustive, BPE ids and merges come from
-whole-text merge passes and corpus draws from ``Generator.choice``.
+whole-text merge passes and corpus draws from ``Generator.choice``, and
+attention runs as three separate projections under an explicit bias.
 """
 
 import itertools
+import math
 
 import numpy as np
 
 from specdec import corpus as C
+from specdec import model as M
 from specdec import tensor as T
 from specdec import tokenizer as TK
 
@@ -20,6 +23,38 @@ def logits_from_features(target, features):
     ops = T.forward_ops()
     x = ops.leaf(features)
     return ops.result(target.head(target.final_norm(x, ops), ops))
+
+
+def three_matmul_attention(attn, x, rope, bias, cache=None, layer_idx=0, ops=T.TAPE):
+    """``M.Attention.__call__`` as three (hidden, hidden) projections, each
+    split into (B, H, T, Dh) heads and q and k rotated on their own, with
+    an all-zero bias built where the forward passes None.  Patched in for
+    ``M.Attention.__call__``, it gives the forward values of a stack that
+    keeps Q, K and V apart and rotates by four ops (no gradient reaches the
+    slabs)."""
+    b, t, c = x.shape
+    h, dh = attn.config.n_heads, attn.config.head_dim
+
+    def heads(proj):
+        z = ops.matmul(x, ops.const(proj.weight.data))
+        return ops.transpose(ops.reshape(z, (b, t, h, dh)), (0, 2, 1, 3))
+
+    def rotate(z):
+        # z * [cos, cos] + [z2, z1] * [-sin, sin], op by op
+        z1, z2 = ops.index(z, (..., slice(0, dh // 2))), ops.index(z, (..., slice(dh // 2, None)))
+        return ops.add(ops.mul(z, rope[0]), ops.mul(ops.concat_last([z2, z1]), rope[1]))
+
+    q, k = rotate(heads(attn.wq)), rotate(heads(attn.wk))
+    v = heads(attn.wv)
+    if cache is not None:
+        k, v = cache.append(layer_idx, ops.value(k)[0], ops.value(v)[0])
+        k, v = ops.const(k[None]), ops.const(v[None])
+    if bias is None:
+        bias = np.zeros((t, k.shape[2]), dtype=np.float32)
+    scores = ops.matmul(q, ops.transpose(k, (0, 1, 3, 2)))
+    scores = ops.scale_bias(scores, 1.0 / math.sqrt(dh), bias)
+    out = ops.transpose(ops.matmul(ops.softmax(scores, axis=-1), v), (0, 2, 1, 3))
+    return attn.wo(ops.reshape(out, (b, t, c)), ops)
 
 
 def mask_by_parent_walk(tree, prefix_len):

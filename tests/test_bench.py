@@ -97,6 +97,22 @@ class TestBenchCell:
         assert report.tau >= 1.0
 
 
+class TestDraftingConfig:
+    @pytest.mark.parametrize("cap", ["depth", "expand_k", "select_m", "budget"])
+    @pytest.mark.parametrize("value", [0, -2])
+    def test_cap_below_one_rejected(self, cap, value):
+        with pytest.raises(ConfigError, match=cap):
+            B.DraftingConfig(**{cap: value})
+        with pytest.raises(ConfigError, match=cap):
+            B.DraftingConfig.from_dict({cap: value})
+        with pytest.raises(ConfigError, match=cap):
+            dataclasses.replace(B.DraftingConfig(), **{cap: value})
+
+    def test_caps_of_one_accepted(self):
+        one = B.DraftingConfig(depth=1, expand_k=1, select_m=1, budget=1)
+        assert one.halved() == one
+
+
 class TestRunBench:
     def test_grid_shape_and_outputs(self, micro_run, tmp_path):
         tok, target, drafts = micro_run

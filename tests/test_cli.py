@@ -120,6 +120,20 @@ class TestExitCodes:
         assert cli.main(["train-target", "--config", str(cfg),
                          "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG
 
+    @pytest.mark.parametrize("drafting", [{"depth": 0}, {"expand_k": 0}, {"select_m": -1},
+                                          {"budget": 0}])
+    def test_cap_below_one_in_config_is_config_error(self, tmp_path, drafting):
+        cfg = tmp_path / "caps.json"
+        cfg.write_text(json.dumps({"drafting": drafting}))
+        assert cli.main(["train-target", "--config", str(cfg),
+                         "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG
+
+    @pytest.mark.parametrize("flag", ["--budget", "--topk", "--depth"])
+    def test_cap_below_one_by_flag_is_config_error_before_loading(self, tmp_path, flag):
+        # exit 2 with no run on disk: the caps are checked before any model loads
+        assert cli.main(["generate", "--out", str(tmp_path / "none"), "--prompt", "x",
+                         flag, "0"]) == cli.EXIT_CONFIG
+
     def test_unknown_section_is_config_error(self, tmp_path):
         cfg = tmp_path / "bad2.json"
         cfg.write_text(json.dumps({"modle": {}}))

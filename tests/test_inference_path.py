@@ -3,6 +3,8 @@ ops' own kernels on bare arrays, bit-identical to the tape, build Tensors
 only for what they return, and keep keys and values in growable KV-cache
 buffers."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,10 @@ from specdec import model as M
 from specdec import tensor as T
 from specdec.errors import ContractError
 from specdec.tree import TokenTree, tree_attention_mask
+from test_tree import random_tree
+
+WEIGHTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "perfbench", "weights")
 
 
 def micro_config(**kw):
@@ -89,6 +95,109 @@ class TestSameValuesOnBothArms:
         np.testing.assert_array_equal(taped.data, free.data)
 
 
+@pytest.fixture(scope="module")
+def committed():
+    target = M.load_checkpoint(os.path.join(WEIGHTS, "target.fspd"))
+    return target, M.load_checkpoint(os.path.join(WEIGHTS, "draft_fspad.fspd"), target=target)
+
+
+def assert_same_as_three_matmuls(monkeypatch, run):
+    """The arrays ``run()`` returns from the stacked Q/K/V projection equal,
+    bit for bit, those from three separate ones
+    (``oracles.three_matmul_attention``)."""
+    fused = [np.array(a) for a in run()]
+    with monkeypatch.context() as m:
+        m.setattr(M.Attention, "__call__", oracles.three_matmul_attention)
+        apart = [np.array(a) for a in run()]
+    assert len(fused) == len(apart)
+    for a, b in zip(fused, apart):
+        np.testing.assert_array_equal(a, b)
+
+
+class TestStackedQkvEqualsThreeMatmuls:
+    """Logits and features of the committed weights, bit for bit.  A 1-row
+    decode runs with no bias and the reference with an all-zero one, so
+    the 1-row cases also show the two agree."""
+
+    @pytest.mark.parametrize("prefix,rows", [(40, 1), (40, 7), (380, 7), (100, 61), (319, 1)])
+    def test_target_against_a_cache(self, monkeypatch, committed, prefix, rows):
+        target, _ = committed
+        rng = np.random.default_rng(prefix + rows)
+        tokens = rng.integers(0, 512, size=prefix)
+        tree = random_tree(rng, rows, vocab=512)
+
+        def run():
+            cache = target.new_cache()
+            with T.no_grad():
+                out = target.forward(tokens, cache=cache)
+                if rows == 1:
+                    out += target.forward(tree.tokens, cache=cache)
+                else:
+                    out += target.forward(tree.tokens, positions=prefix + tree.depths,
+                                          mask=tree_attention_mask(tree, prefix), cache=cache)
+            return [t.data for t in out] + [cache.keys[-1], cache.values[-1]]
+
+        assert_same_as_three_matmuls(monkeypatch, run)
+
+    def test_target_batch_16x96(self, monkeypatch, committed):
+        target, _ = committed
+        tokens = np.random.default_rng(96).integers(0, 512, size=(16, 96))
+
+        def run():
+            with T.no_grad():
+                return [t.data for t in target.forward(tokens)]
+
+        assert_same_as_three_matmuls(monkeypatch, run)
+
+    def test_draft_logits_and_next_feature(self, monkeypatch, committed):
+        target, draft = committed
+        rng = np.random.default_rng(41)
+        tokens = rng.integers(0, 512, size=41)
+        with T.no_grad():
+            _, feats = target.forward(tokens)
+        feats = feats.data[None]
+        tree = random_tree(rng, 7, vocab=512)
+
+        def run():
+            cache = draft.new_cache()
+            with T.no_grad():
+                outs = [draft.forward(feats[:, :-1], tokens[None, 1:], cache=cache),
+                        draft.forward(feats[:, -1:], tokens[None, -1:], cache=cache),
+                        draft.forward(np.repeat(feats[:, -1:], 7, axis=1), tree.tokens[None],
+                                      positions=41 + tree.depths,
+                                      mask=tree_attention_mask(tree, 41), cache=cache)]
+            return [a for o in outs for a in (o.logits.data, o.next_feature.data)]
+
+        assert_same_as_three_matmuls(monkeypatch, run)
+
+    def test_tape_batch_4x33(self, monkeypatch, committed):
+        target, draft = committed
+        rng = np.random.default_rng(33)
+        tokens = rng.integers(0, 512, size=(4, 33))
+        feats = rng.normal(size=(4, 33, 128)).astype(np.float32)
+
+        def run():
+            T.clear_tape()
+            logits, features = target.forward(tokens)
+            out = draft.forward(feats, tokens)
+            assert len(T._TAPE) > 0
+            return logits.data, features.data, out.logits.data, out.next_feature.data
+
+        assert_same_as_three_matmuls(monkeypatch, run)
+
+    def test_one_row_decode_builds_no_bias(self, committed):
+        target, _ = committed
+        cache = target.new_cache()
+        with T.no_grad():
+            target.forward(np.arange(40), cache=cache)
+        row = np.zeros((1, 1, 128), dtype=np.float32)
+        assert M._preamble(target.config, row, None, None, cache)[1] is None
+        tree = random_tree(np.random.default_rng(7), 7, vocab=512)
+        _, bias = M._preamble(target.config, np.zeros((1, 7, 128), np.float32),
+                              40 + tree.depths, tree_attention_mask(tree, 40), cache)
+        assert bias.shape == (7, 47) and (bias == M.MASK_OFF).any()
+
+
 class TestScaleBias:
     def test_tape_leaves_its_input_alone_and_equals_the_kernel(self):
         # the kernel writes into the fresh score array it is handed
@@ -98,6 +207,12 @@ class TestScaleBias:
         taped = T.scale_bias(T.Tensor(x), 0.25, bias)
         np.testing.assert_array_equal(x, kept)
         np.testing.assert_array_equal(T.KERNELS.scale_bias(x, 0.25, bias), taped.data)
+
+    def test_no_bias_equals_a_zero_bias(self):
+        x = np.random.default_rng(8).normal(size=(1, 2, 1, 6)).astype(np.float32)
+        zero = T.KERNELS.scale_bias(x.copy(), 0.25, np.zeros((1, 6), np.float32))
+        np.testing.assert_array_equal(T.KERNELS.scale_bias(x.copy(), 0.25, None), zero)
+        np.testing.assert_array_equal(T.scale_bias(T.Tensor(x), 0.25, None).data, zero)
 
 
 class TestTensorsBuilt:

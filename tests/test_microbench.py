@@ -1,7 +1,7 @@
 """Micro-benchmarks of the inference hot paths on a toy-size stack (hidden
-128, 4 layers, vocab 512, random weights), and of the set-up paths that
-tokenize prompts and a training corpus with the committed benchmark
-tokenizer, with pytest-benchmark.
+128, 4 layers, vocab 512, random weights), of one draft-training step on
+the tape, and of the set-up paths that tokenize prompts and a training
+corpus with the committed benchmark tokenizer, with pytest-benchmark.
 
 They assert nothing about time: a few rounds each keep the tier-1 run
 short, and the table pytest-benchmark prints is the record.  For steadier
@@ -156,3 +156,21 @@ def test_tokenized_corpus_build(benchmark, merges):
 
     corpus = benchmark.pedantic(TR.TokenizedCorpus.build, setup=fresh, rounds=3)
     assert corpus.train_docs
+
+
+class TestTraining:
+    @pytest.fixture(autouse=True)
+    def inference_mode(self):  # training records the tape
+        T.clear_tape()
+        yield
+        T.clear_tape()
+
+    def test_train_draft_step_16x96(self, benchmark, merges):
+        # one teacher forward, tape forward and backward, and AdamW step
+        config = M.ModelConfig()
+        corpus = TR.TokenizedCorpus.build(C.synthesize_documents(160, seed=2),
+                                          TK.Tokenizer(merges), config.max_seq_len, seed=0)
+        cfg = TR.TrainConfig(draft_steps=1, batch_size=16, seq_len=96, seed=0)
+        target = M.TargetModel(config, seed=0)
+        draft = benchmark.pedantic(TR.train_draft, args=(target, corpus, cfg), rounds=3)
+        assert draft.layer.attn.wqkv.data.shape == (3, config.hidden_size, config.hidden_size)

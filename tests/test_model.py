@@ -179,8 +179,8 @@ class TestRotaryTables:
         x1, x2 = np.split(x, 2, axis=-1)
         want = np.concatenate([x1 * cos - x2 * sin, x2 * cos + x1 * sin], axis=-1)
         rope = M.rotary_rows(cfg, positions)
-        np.testing.assert_array_equal(M._apply_rope(x, rope, T.KERNELS), want)
-        np.testing.assert_array_equal(M._apply_rope(T.Tensor(x), rope, T.TAPE).data, want)
+        np.testing.assert_array_equal(T.KERNELS.rope(x.copy(), *rope), want)
+        np.testing.assert_array_equal(T.rope(T.Tensor(x), *rope).data, want)
 
 
 class TestFeatureSampler:
@@ -426,3 +426,112 @@ class TestCheckpoint:
         M.save_checkpoint(draft, path)
         with pytest.raises(ContractError):
             M.load_checkpoint(path)
+
+
+WEIGHTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "perfbench", "weights")
+LAYER_NAMES = ("attn_norm", "attn.wq", "attn.wk", "attn.wv", "attn.wo", "mlp_norm",
+               "mlp.gate", "mlp.up", "mlp.down")
+
+
+class TestStackedQkv:
+    """Q, K and V live in one (3, hidden, hidden) parameter per layer;
+    ``attn.wq`` / ``.wk`` / ``.wv`` are live views of its slabs."""
+
+    @pytest.fixture(autouse=True)
+    def inference_mode(self):  # these tests record gradients
+        T.clear_tape()
+        yield
+        T.clear_tape()
+
+    def test_names_order_and_shapes(self):
+        cfg = micro_config(n_layers=3)
+        target = M.TargetModel(cfg, seed=30)
+        named = target.named_tensors()
+        assert list(named) == ["embed.weight", "final_norm.weight", "head.weight"] + [
+            f"layers.{i}.{n}.weight" for i in range(3) for n in LAYER_NAMES]
+        for i in range(3):
+            for n in ("wq", "wk", "wv", "wo"):
+                assert named[f"layers.{i}.attn.{n}.weight"].data.shape == (16, 16)
+        draft = M.DraftModel(cfg, target, seed=31)
+        assert list(draft.named_tensors()) == [
+            "connector.up.weight", "connector.gate.weight", "connector.down.weight"] + [
+            f"layer.{n}.weight" for n in LAYER_NAMES]
+
+    def test_parameters_hold_each_stack_once(self):
+        target = M.TargetModel(micro_config(), seed=32)
+        params = target.parameters()
+        stacks = [layer.attn.wqkv for layer in target.layers]
+        # the three views of each of the two layers stand for one stack
+        assert len({id(p) for p in params}) == len(params) == len(target.named_tensors()) - 2 * 2
+        assert all(isinstance(p, T.Tensor) for p in params)
+        assert [p for p in params if p.data.shape == (3, 16, 16)] == stacks
+
+    def test_init_matches_three_separate_draws(self):
+        cfg = micro_config()
+        attn = M.Attention(np.random.default_rng(5), cfg)
+        rng = np.random.default_rng(5)
+        for view in (attn.wq, attn.wk, attn.wv, attn.wo):
+            np.testing.assert_array_equal(view.weight.data, M._init(rng, (16, 16)).data)
+
+    @pytest.mark.parametrize("name", ["target.fspd", "draft_fspad.fspd"])
+    def test_committed_checkpoints_resave_byte_for_byte(self, tmp_path, name):
+        target = M.load_checkpoint(os.path.join(WEIGHTS, "target.fspd"))
+        model = target if name == "target.fspd" else M.load_checkpoint(
+            os.path.join(WEIGHTS, name), target=target)
+        M.save_checkpoint(model, tmp_path / name)
+        with open(os.path.join(WEIGHTS, name), "rb") as f:
+            assert (tmp_path / name).read_bytes() == f.read()
+
+    def test_writes_through_a_view_and_a_rebind_reach_the_forward(self):
+        target = M.TargetModel(micro_config(), seed=33)
+        tokens = np.arange(7)
+        with T.no_grad():
+            before = target.forward(tokens)[0].data
+            flat = target.layers[0].attn.wk.weight.data.reshape(-1)
+            flat[5] += 0.5
+            after_write = target.forward(tokens)[0].data
+            stack = target.layers[1].attn.wqkv
+            stack.data = stack.data * 2.0
+            after_rebind = target.forward(tokens)[0].data
+        assert np.abs(after_write - before).max() > 0
+        assert np.abs(after_rebind - after_write).max() > 0
+        np.testing.assert_array_equal(target.layers[1].attn.wv.weight.data, stack.data[2])
+
+    def test_view_grad_is_its_slab_of_the_stack_grad(self):
+        target = M.TargetModel(micro_config(), seed=34)
+        tokens = np.arange(9)[None]
+        logits, _ = target.forward(tokens)
+        T.backward(T.cross_entropy_labels(logits, np.roll(tokens, -1, axis=1)))
+        attn = target.layers[0].attn
+        assert attn.wqkv.grad.shape == (3, 16, 16)
+        for i, view in enumerate((attn.wq, attn.wk, attn.wv)):
+            np.testing.assert_array_equal(view.weight.grad, attn.wqkv.grad[i])
+            assert np.abs(view.weight.grad).max() > 0
+
+    def test_stack_gradient_matches_finite_differences(self):
+        cfg = micro_config(n_layers=1, vocab_size=12, max_seq_len=16)
+        target = M.TargetModel(cfg, seed=35)
+        for p in target.parameters():
+            p.data = p.data.astype(np.float64) * 4.0
+        tokens = np.random.default_rng(35).integers(0, 12, size=(2, 7))
+
+        def loss():
+            T.clear_tape()
+            logits, _ = target.forward(tokens)
+            return T.cross_entropy_labels(logits, np.roll(tokens, -1, axis=1))
+
+        stack = target.layers[0].attn.wqkv
+        stack.grad = None
+        T.backward(loss())
+        analytic = stack.grad.copy()
+        flat, h = stack.data.reshape(-1), 1e-6
+        for idx in np.random.default_rng(36).choice(flat.size, size=12, replace=False):
+            orig = flat[idx]
+            flat[idx] = orig + h
+            up = loss().item()
+            flat[idx] = orig - h
+            down = loss().item()
+            flat[idx] = orig
+            assert analytic.reshape(-1)[idx] == pytest.approx((up - down) / (2 * h),
+                                                              rel=1e-5, abs=1e-8)

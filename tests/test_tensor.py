@@ -290,7 +290,7 @@ class TestOpGradients:
         def build():
             x = T.add(T.mul(a, b), T.scale(T.sub(a, b), 0.5))
             x = T.silu(x)
-            lo, hi = T.split_last(x, [2, 2])
+            lo, hi = T.index(x, (..., slice(0, 2))), T.index(x, (..., slice(2, 4)))
             x = T.concat_last([hi, lo])
             x = T.reshape(x, (4, 3))
             x = T.transpose(x, (1, 0))
@@ -309,6 +309,53 @@ class TestOpGradients:
             return T.sum_all(T.mul(T.softmax(h, axis=-1), h))
 
         self._check(build, (x, w, g))
+
+    def test_index_and_broadcast_matmul(self):
+        # the stacked-projection pattern: (1, n, c) @ (3, c, c), then slabs
+        rng = np.random.default_rng(11)
+        x = T.Tensor(rng.normal(size=(1, 4, 3)), dtype=np.float64, requires_grad=True)
+        w = T.Tensor(rng.normal(size=(3, 3, 3)), dtype=np.float64, requires_grad=True)
+
+        def build():
+            y = T.matmul(x, w)
+            head = T.mul(T.index(y, slice(0, 2)), T.index(y, 2))
+            return T.add(T.sum_all(T.mul(T.index(head, 1), T.index(head, 0))),
+                         T.sum_all(T.index(y, (2, slice(1, 3)))))
+
+        self._check(build, (x, w))
+
+    def test_matmul_backward_skips_an_operand_without_grad(self):
+        rng = np.random.default_rng(12)
+        a = T.Tensor(rng.normal(size=(2, 3, 4)).astype(np.float32))
+        b = T.Tensor(rng.normal(size=(4, 5)).astype(np.float32), requires_grad=True)
+        calls = []
+        real = np.matmul
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return real(*args, **kwargs)
+
+        out = T.matmul(a, b)
+        np.matmul = counted
+        try:
+            T.backward(T.sum_all(out))
+        finally:
+            np.matmul = real
+        assert a.grad is None and len(calls) == 1
+        ones = np.ones((2, 3, 5), np.float32)
+        want = T._unbroadcast(real(np.swapaxes(a.data, -1, -2), ones), (4, 5))
+        np.testing.assert_array_equal(b.grad, want.astype(np.float32))
+
+    def test_rope(self):
+        rng = np.random.default_rng(13)
+        x = T.Tensor(rng.normal(size=(2, 3, 2, 4)), dtype=np.float64, requires_grad=True)
+        c, s = rng.normal(size=(2, 3, 1, 4)), rng.normal(size=(3, 1, 4))
+        w = rng.normal(size=(2, 3, 2, 4))
+
+        def build():
+            return T.sum_all(T.mul(T.rope(x, c, s), w))
+
+        self._check(build, (x,))
 
     def test_loss_gradients(self):
         rng = np.random.default_rng(9)
@@ -354,7 +401,7 @@ class TestTapeAndProperties:
             n = int(rng.integers(2, 9))
             x = T.Tensor(rng.normal(size=(3, n)).astype(np.float32))
             cut = int(rng.integers(1, n))
-            parts = T.split_last(x, [cut, n - cut])
+            parts = [T.index(x, (..., slice(0, cut))), T.index(x, (..., slice(cut, n)))]
             back = T.concat_last(parts)
             np.testing.assert_array_equal(back.data, x.data)
 
