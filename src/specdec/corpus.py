@@ -19,6 +19,8 @@ from bisect import bisect_right
 
 import numpy as np
 
+from .errors import ContractError
+
 SUBJECTS = ["the fox", "the owl", "the river", "the old clock", "the gardener",
             "the small cat", "the ship", "the moon", "the librarian", "the kettle",
             "the lighthouse", "the last train"]
@@ -173,9 +175,9 @@ def task_prompts(task, n, seed=99):
             c, d = int(rng.integers(0, 31)), int(rng.integers(0, 31))
             prompts.append(f"{a} + {b} = {a + b} . {c} + {d} =")
     else:
-        raise ValueError(f"unknown task {task!r}; expected continuation/copy/arithmetic")
+        raise ContractError(f"unknown task {task!r}; expected continuation/copy/arithmetic")
     if len(prompts) < n:
-        raise ValueError(f"could not assemble {n} prompts for task {task!r}")
+        raise ContractError(f"could not assemble {n} prompts for task {task!r}")
     return prompts
 
 

@@ -25,6 +25,7 @@ derived as SeedSequence(seed).spawn-style child keyed by the step index.
 from __future__ import annotations
 
 import json
+import numbers
 import time
 
 import numpy as np
@@ -274,7 +275,7 @@ class SpeculativeEngine:
         to vanilla decoding of the target at the same temperature/seed.
         """
         max_len = self.target.config.max_seq_len
-        prompt = _admit(prompt, temperature, max_len)
+        prompt = _admit(prompt, temperature, self.target.config)
         stop = min(len(prompt) + max_new, max_len)  # the committed length at which vanilla stops
 
         start = time.perf_counter()
@@ -301,7 +302,7 @@ class SpeculativeEngine:
                                         f"the {max_depth} positions left")
                 logits, node_feats = self.target.forward(
                     tree.tokens, positions=prefix + tree.depths,
-                    mask=tree_attention_mask(tree, prefix), cache=cache)
+                    mask=tree_attention_mask(tree), cache=cache)
 
                 if temperature == 0.0:
                     result = verify_greedy(tree, logits.data)
@@ -328,16 +329,19 @@ class SpeculativeEngine:
         return new_tokens, stats
 
 
-def _admit(prompt, temperature, max_len):
+def _admit(prompt, temperature, config):
     """The request checks both decoders share; returns the prompt as ints."""
     if not (temperature == 0.0 or 0.0 < temperature <= 2.0):
         raise ContractError(f"temperature must be 0 or in (0, 2], got {temperature}")
-    prompt = [int(t) for t in prompt]
+    prompt, vocab, max_len = list(prompt), config.vocab_size, config.max_seq_len
+    bad = [t for t in prompt if not isinstance(t, numbers.Integral) or not 0 <= t < vocab]
+    if bad:
+        raise ContractError(f"prompt id {bad[0]!r} is not an integer in [0, {vocab})")
     if not prompt:
         raise ContractError("prompt must be nonempty")
     if len(prompt) >= max_len:
         raise CapacityError(f"prompt of {len(prompt)} tokens does not fit context {max_len}")
-    return prompt
+    return [int(t) for t in prompt]
 
 
 def _temperature_probs(logits, temperature):
@@ -356,7 +360,7 @@ def vanilla_generate(target, prompt, max_new, temperature=0.0, seed=0, eos_id=No
     (new_tokens, GenerationStats) with one target pass per emitted token.
     """
     max_len = target.config.max_seq_len
-    prompt = _admit(prompt, temperature, max_len)
+    prompt = _admit(prompt, temperature, target.config)
     start = time.perf_counter()
     stats = GenerationStats()
     out = []

@@ -9,13 +9,14 @@ autoregressive step.  The draft takes target (or carry) features and
 token ids; its connector fuses feature row i with the embedding of token
 i into the layer's input row.
 
-Both forwards share one preamble: positions default to following the
-cache, the boolean visibility mask defaults to causal and becomes an
-additive bias once (none at all when every row sees every key, as in a
-1-row decode), and the rows of the rotary tables for those positions are
-picked once per forward and handed to every layer.  The tables themselves
-are built once per (max_seq_len, head_dim, base, dtype), so a model builds
-them once.
+Both forwards return (logits, features), the features being what the
+next step reads, and share one preamble: positions default to following
+the cache, the boolean visibility mask over the last keys (every earlier,
+committed key is visible) defaults to causal and becomes an additive bias
+once (none at all when every row sees every key, as in a 1-row decode),
+and the rows of the rotary tables for those positions are picked once per
+forward and handed to every layer.  The tables themselves are built once
+per (max_seq_len, head_dim, base, dtype), so a model builds them once.
 
 Each attention layer keeps its Q, K and V projections in one (3, hidden,
 hidden) parameter, computed by one matmul and rotated by one RoPE; the
@@ -340,9 +341,11 @@ def causal_mask(n_queries, n_keys):
 def _preamble(config, x, positions, mask, cache):
     """Rotary rows and additive bias for the rows of ``x`` (B, T, hidden).
 
-    ``positions`` default to following the cache and ``mask``, a boolean
-    (T, cached + T) visibility, to causal.  The bias is None when every
-    row sees every key.  T must be at least 1.
+    ``positions`` default to following the cache.  ``mask`` is a boolean
+    (T, K) visibility over the last K keys, T <= K <= cached + T; every
+    earlier key is visible to every row.  It defaults to causal over the T
+    rows.  The bias, (T, K), is None when every row sees every key.  T
+    must be at least 1.
     """
     t = x.shape[1]
     if t == 0:
@@ -356,11 +359,10 @@ def _preamble(config, x, positions, mask, cache):
     if positions.min(initial=0) < 0:
         raise ContractError(f"negative position {int(positions.min())}")
     if mask is None:
-        mask = causal_mask(t, past + t)
-    if mask.shape != (t, past + t):
-        raise ContractError(
-            f"attention mask shape {mask.shape} does not match (queries, keys) = ({t}, {past + t})"
-        )
+        mask = causal_mask(t, t)
+    if mask.ndim != 2 or mask.shape[0] != t or not t <= mask.shape[1] <= past + t:
+        raise ContractError(f"attention mask shape {mask.shape} is not ({t}, K) for a K "
+                            f"in [{t}, {past + t}], the queries and the last keys")
     rope = rotary_rows(config, positions, x.dtype)
     if mask.all():
         return rope, None
@@ -384,8 +386,9 @@ class TargetModel:
         """Run the stack over ``tokens``.
 
         tokens: int array (T,) or (B, T).  When ``cache`` is given the
-        new keys/values are appended (batch must be 1) and ``positions``
-        /``mask`` describe the new rows against the grown cache.
+        new keys/values are appended (batch must be 1), ``positions``
+        place the new rows and ``mask`` is their visibility over the last
+        keys of the grown cache (see ``_preamble``).
         Returns (logits, features), each with the batch layout of the
         input.
         """
@@ -466,22 +469,6 @@ class LinearCombiner:
         return {"connector.weight": self.weight, "connector.bias": self.bias}
 
 
-class DraftStepOutput:
-    """Per-position draft outputs.
-
-    ``logit_feature`` feeds the shared output head; ``next_feature``
-    feeds the connector at the following autoregressive step.  Both
-    include the same post-attention residual.
-    """
-
-    __slots__ = ("logit_feature", "next_feature", "logits")
-
-    def __init__(self, logit_feature, next_feature, logits):
-        self.logit_feature = logit_feature
-        self.next_feature = next_feature
-        self.logits = logits
-
-
 VARIANTS = ("fspad", "no_fs", "no_pad", "neither")
 
 
@@ -491,8 +478,9 @@ class DraftModel:
     Shares the target's embedding table, final norm, and output head by
     reference; those stay frozen when the draft trains.  With
     ``dual_path`` the layer's MLP emits 2x hidden and the halves are
-    split around one shared residual; otherwise both output roles are
-    the same tensor.
+    split around one shared residual: the logit half feeds the head, the
+    other is the feature the next autoregressive step reads.  Otherwise
+    the head reads the returned feature itself.
     """
 
     def __init__(self, config, target, variant="fspad", seed=1):
@@ -510,11 +498,13 @@ class DraftModel:
         self.layer = DecoderLayer(rng, config, mlp_out_mult=2 if self.dual_path else 1)
 
     def forward(self, feats, tokens, positions=None, mask=None, cache=None):
-        """Run the draft layer over fused rows; returns DraftStepOutput.
+        """Run the draft layer over fused rows; returns (logits, features).
 
         ``feats`` is a (B, T, hidden) array of target or carry features
         and ``tokens`` the (B, T) ids whose embeddings the connector fuses
-        into them, row by row.  Outputs are (B, T, ...).
+        into them, row by row.  ``logits`` are the shared head's on the
+        logit path and ``features`` the autoregression path's, the carry
+        of the next step; both are (B, T, ...).
         """
         ops = T.forward_ops()
         feats, tokens = ops.const(feats), np.asarray(tokens)
@@ -530,14 +520,10 @@ class DraftModel:
         if self.dual_path:
             h = self.config.hidden_size
             m_logit, m_auto = ops.index(m, (..., slice(0, h))), ops.index(m, (..., slice(h, None)))
-            logit_feature, next_feature = ops.add(r, m_logit), ops.add(r, m_auto)
+            logit_feature, features = ops.add(r, m_logit), ops.add(r, m_auto)
         else:
-            logit_feature = next_feature = ops.add(r, m)
-        logits = ops.result(self.target._logits(logit_feature, ops))
-        logit_out = ops.result(logit_feature)
-        # a single-path draft returns one Tensor in both roles
-        next_out = ops.result(next_feature) if self.dual_path else logit_out
-        return DraftStepOutput(logit_out, next_out, logits)
+            logit_feature = features = ops.add(r, m)
+        return ops.result(self.target._logits(logit_feature, ops)), ops.result(features)
 
     def new_cache(self):
         return KvCache(1)

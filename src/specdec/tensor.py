@@ -171,13 +171,15 @@ def _unbroadcast(g, shape):
 
 
 def _scale_bias(x, s, bias):
-    """``x * s + bias``, written into ``x``: pass a score array that
-    nothing else reads.  ``s`` multiplies as a Python float, so a float32
-    ``x`` stays float32; ``bias`` is cast to x's dtype first, and a None
-    bias adds nothing."""
+    """``x * s``, then ``bias`` added into its last ``bias.shape[-1]``
+    columns, written into ``x``: pass a score array that nothing else
+    reads.  ``s`` multiplies as a Python float, so a float32 ``x`` stays
+    float32; ``bias`` is cast to x's dtype first, and a None bias adds
+    nothing."""
     np.multiply(x, float(s), out=x)
     if bias is not None:
-        x += np.asarray(bias).astype(x.dtype, copy=False)
+        bias = np.asarray(bias)
+        x[..., x.shape[-1] - bias.shape[-1]:] += bias.astype(x.dtype, copy=False)
     return x
 
 
@@ -247,8 +249,9 @@ def scale(a, s):
 
 
 def scale_bias(x, s, bias):
-    """``x * s + bias`` for a constant ``bias`` that broadcasts to x's
-    shape (no gradient flows into it), or ``x * s`` for a None bias."""
+    """``x * s`` plus a constant ``bias`` in its last ``bias.shape[-1]``
+    columns, which it broadcasts against (no gradient flows into it), or
+    ``x * s`` for a None bias."""
     s = float(s)
     out = Tensor(_scale_bias(x.data.copy(), s, bias))
 

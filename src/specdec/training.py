@@ -190,8 +190,8 @@ def _pad_batch(docs):
 
 
 def _teacher_forced(target, draft, tokens, valid, response):
-    """Draft output, teacher features, teacher logits and the mask of
-    draft rows i supervised by a response position i + 1."""
+    """The draft's (logits, features), teacher features, teacher logits and
+    the mask of draft rows i supervised by a response position i + 1."""
     teacher_feats, teacher_logits = extract_teacher_trace(target, tokens)
     _, pair_mask = shift_mask(teacher_logits, response & valid)
     out = draft.forward(teacher_feats[:, :-1], tokens[:, 1:])
@@ -204,14 +204,15 @@ def draft_batch_losses(target, draft, tokens, valid, response, loss_weight):
     Returns (loss, token_loss, feature_loss, top1_acc) as
     (Tensor, Tensor, Tensor, float).
     """
-    out, feats, logits, pair_mask = _teacher_forced(target, draft, tokens, valid, response)
+    (draft_logits, draft_feats), feats, logits, pair_mask = _teacher_forced(
+        target, draft, tokens, valid, response)
     probs = T.KERNELS.softmax(logits[:, 1:].astype(np.float64)).astype(np.float32)
 
-    token_loss = T.cross_entropy(out.logits, T.Tensor(probs), pair_mask)
-    feature_loss = T.smooth_l1(out.next_feature, T.Tensor(feats[:, 1:]), pair_mask)
+    token_loss = T.cross_entropy(draft_logits, T.Tensor(probs), pair_mask)
+    feature_loss = T.smooth_l1(draft_feats, T.Tensor(feats[:, 1:]), pair_mask)
     loss = T.add(T.scale(token_loss, loss_weight), feature_loss)
 
-    agree = np.argmax(out.logits.data, axis=-1) == np.argmax(logits[:, 1:], axis=-1)
+    agree = np.argmax(draft_logits.data, axis=-1) == np.argmax(logits[:, 1:], axis=-1)
     top1 = float(agree[pair_mask].mean()) if pair_mask.any() else 0.0
     return loss, token_loss, feature_loss, top1
 
@@ -264,9 +265,10 @@ def eval_draft_accuracy(target, draft, eval_docs, top_k=(1,), max_docs=None):
     total = 0
     with T.no_grad():
         for i in range(0, len(docs), 8):
-            out, _, logits, pair_mask = _teacher_forced(target, draft, *_pad_batch(docs[i: i + 8]))
+            (draft_logits, _), _, logits, pair_mask = _teacher_forced(
+                target, draft, *_pad_batch(docs[i: i + 8]))
             teacher_top = np.argmax(logits[:, 1:], axis=-1)
-            order = np.argsort(-out.logits.data, axis=-1, kind="stable")
+            order = np.argsort(-draft_logits.data, axis=-1, kind="stable")
             for k in top_k:
                 in_top = (order[..., :k] == teacher_top[..., None]).any(axis=-1)
                 hits[k] += int(in_top[pair_mask].sum())

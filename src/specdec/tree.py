@@ -140,7 +140,7 @@ def build_draft_tree(draft, root_feature, root_token, *, depth, expand_k, select
     feats, ids = root_feature[None], [root_token]
     if sync is not None:
         feats, ids = np.concatenate([sync[0], feats]), list(sync[1]) + ids
-    out = draft.forward(feats[None], [ids], cache=cache)
+    logits, carried = draft.forward(feats[None], [ids], cache=cache)
     prefix = len(cache) - 1   # the root's row and position; every key before it is committed
     passes = 1
     counts = np.arange(budget + select_m + 2)
@@ -161,8 +161,8 @@ def build_draft_tree(draft, root_feature, root_token, *, depth, expand_k, select
     carry = np.empty((n_keys, feats.shape[1]), dtype=np.float32)
     sees = np.zeros((cap, n_keys), dtype=bool)
     tokens[0], parents[0], depths[0], cond[0], joint[0] = root_token, -1, 0, 1.0, 1.0
-    key_of[0], sees[0, 0], carry[0] = 0, True, out.next_feature.data[0, -1]
-    dist = T.KERNELS.softmax(out.logits.data[0, -1:])
+    key_of[0], sees[0, 0], carry[0] = 0, True, carried.data[0, -1]
+    dist = T.KERNELS.softmax(logits.data[0, -1:])
     expand = np.zeros(1, dtype=np.int64)  # expanded pool nodes, in rank order, aligned with dist
     n = 1
 
@@ -175,12 +175,12 @@ def build_draft_tree(draft, root_feature, root_token, *, depth, expand_k, select
         tokens[new], parents[new], depths[new] = top[keep], kids, level
         cond[new], joint[new] = p, joint[kids] * p
         n += len(p)
-        order = 1 + _rank(slice(1, n), tokens, depths, joint)[:budget]
-        size, rate, gain = _best_cut(joint[order], spent, verify_ms)
+        ranked = 1 + _rank(slice(1, n), tokens, depths, joint)
+        size, rate, gain = _best_cut(joint[ranked[:budget]], spent, verify_ms)
         if level == depth or not len(p):
             break
-        # the optimistic bound of expanding the best 1, 2, ... new nodes
-        best = new.start + _rank(new, tokens, depths, joint)[:select_m]
+        # the optimistic bound of expanding the best 1, 2, ... new nodes (the pool's last)
+        best = ranked[ranked >= new.start][:select_m]
         widths = np.arange(1, len(best) + 1)
         bound = (1.0 + gain + np.cumsum(joint[best])) / (
             spent + draft_ms[widths] + verify_ms[size + 1 + widths])
@@ -191,17 +191,16 @@ def build_draft_tree(draft, root_feature, root_token, *, depth, expand_k, select
         spent += draft_ms[m + 1]
         key_of[expand] = keys = len(cache) - prefix + np.arange(len(expand))
         _inherit_visibility(sees, expand, parents, keys)
-        allowed = np.ones((len(expand), len(cache) + len(expand)), dtype=bool)
-        allowed[:, prefix:] = sees[expand, :keys[-1] + 1]
-        out = draft.forward(carry[key_of[parents[expand]]][None], tokens[expand][None],
-                            positions=np.full(len(expand), prefix + level), mask=allowed,
-                            cache=cache)
+        logits, carried = draft.forward(carry[key_of[parents[expand]]][None],
+                                        tokens[expand][None],
+                                        positions=np.full(len(expand), prefix + level),
+                                        mask=sees[expand, :keys[-1] + 1], cache=cache)
         passes += 1
-        carry[keys] = out.next_feature.data[0]
-        dist = T.KERNELS.softmax(out.logits.data[0])
+        carry[keys] = carried.data[0]
+        dist = T.KERNELS.softmax(logits.data[0])
 
     # the root and the cut, in creation order, which is topological
-    keep = np.concatenate([[0], np.sort(order[:size])])
+    keep = np.concatenate([[0], np.sort(ranked[:size])])
     index_of = np.full(n, -1)
     index_of[keep] = np.arange(len(keep))
     kept_parents = index_of[parents[keep]]
@@ -255,11 +254,12 @@ def _top_k(probs, k):
     return top, probs[rows, top]
 
 
-def tree_attention_mask(tree, prefix_len):
-    """Visibility of the tree rows over prefix + tree keys.
+def tree_attention_mask(tree, prefix_len=0):
+    """Visibility of the tree rows over the last prefix_len + len(tree) keys.
 
     Shape (len(tree), prefix_len + len(tree)): each tree row sees the
-    whole prefix, its ancestors, and itself — nothing else.
+    whole prefix, its ancestors, and itself — nothing else.  Every earlier
+    key is visible to a forward anyway, so a verify passes the default.
     """
     n = len(tree)
     allowed = np.zeros((n, prefix_len + n), dtype=bool)

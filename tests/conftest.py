@@ -5,13 +5,20 @@
 pass counts would follow the machine's timings.  Every test gets
 ``tree.FIXED_BUDGET`` in its place (fixed-budget trees, whatever the
 costs), except those marked ``measured_latency``, which exercise the
-measurement itself.
+measurement itself.  BLAS runs on one thread, as in the benchmark.
 """
 
-import pytest
+import os
 
-from specdec import engine as E
-from specdec import tree as TR
+# set before numpy loads, as perfbench/run.py does: on a small shared
+# machine more BLAS threads slow the batch forwards several-fold
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import pytest  # noqa: E402
+
+from specdec import engine as E  # noqa: E402
+from specdec import tree as TR  # noqa: E402
 
 
 def pytest_configure(config):

@@ -87,9 +87,9 @@ def linear_draft_probs(draft, root_feature, chain_tokens):
     feat = np.asarray(root_feature)
     with T.no_grad():
         for tok in chain_tokens:
-            out = draft.forward(feat[None, None], [[tok]], cache=cache)
-            dists.append(T.softmax(out.logits, axis=-1).data[0, 0].copy())
-            feat = out.next_feature.data[0, 0]
+            logits, feats = draft.forward(feat[None, None], [[tok]], cache=cache)
+            dists.append(T.softmax(logits, axis=-1).data[0, 0].copy())
+            feat = feats.data[0, 0]
     return dists
 
 

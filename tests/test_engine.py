@@ -396,6 +396,22 @@ class TestProgressAndCapacity:
         with pytest.raises(CapacityError):
             engine.generate(list(range(1, 17)), 8, temperature=0.0)
 
+    @pytest.mark.parametrize("prompt", [[1, 32], [1, -1], [1.7, 2], [1, 2.0], [1, float("nan")],
+                                        ["3"], np.array([1.0, 2.0])])
+    def test_bad_prompt_ids_are_refused_by_both(self, prompt):
+        cfg, target, draft = micro_stack(18)
+        engine = E.SpeculativeEngine(target, E.ModelDrafter(draft, depth=2, expand_k=2,
+                                                             select_m=2, budget=4))
+        for decode in (engine.generate, lambda *a: E.vanilla_generate(target, *a)):
+            with pytest.raises(ContractError, match="prompt id"):
+                decode(prompt, 3)
+
+    def test_numpy_integer_prompt_ids_decode_alike(self):
+        cfg, target, _ = micro_stack(18)
+        want, _ = E.vanilla_generate(target, [0, 31], 3)
+        for dtype in (np.int32, np.int64, np.uint8):
+            assert E.vanilla_generate(target, np.array([0, 31], dtype=dtype), 3)[0] == want
+
     def test_context_filling_truncates_gracefully(self):
         cfg, target, draft = micro_stack(19, max_seq=32)
         drafter = E.ModelDrafter(draft, depth=2, expand_k=2, select_m=2, budget=4)

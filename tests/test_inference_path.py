@@ -3,6 +3,7 @@ ops' own kernels on bare arrays, bit-identical to the tape, build Tensors
 only for what they return, and keep keys and values in growable KV-cache
 buffers."""
 
+import contextlib
 import os
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 import oracles
 from specdec import model as M
 from specdec import tensor as T
+from specdec import tree as TR
 from specdec.errors import ContractError
 from specdec.tree import TokenTree, tree_attention_mask
 from test_tree import random_tree
@@ -83,9 +85,9 @@ class TestSameValuesOnBothArms:
         feats = rng.normal(size=(2, 5, 16)).astype(np.float32)
         tokens = rng.integers(0, 32, size=(2, 5))
         taped, free = both_arms(lambda: draft.forward(feats, tokens))
-        for name in ("logit_feature", "next_feature", "logits"):
-            np.testing.assert_array_equal(getattr(taped, name).data, getattr(free, name).data)
-        assert (free.logit_feature is free.next_feature) == (variant in ("no_pad", "neither"))
+        assert len(taped) == len(free) == 2   # (logits, features)
+        for a, b in zip(taped, free):
+            np.testing.assert_array_equal(a.data, b.data)
 
     def test_logits_from_features(self):
         target = M.TargetModel(micro_config(), seed=6)
@@ -166,7 +168,7 @@ class TestStackedQkvEqualsThreeMatmuls:
                         draft.forward(np.repeat(feats[:, -1:], 7, axis=1), tree.tokens[None],
                                       positions=41 + tree.depths,
                                       mask=tree_attention_mask(tree, 41), cache=cache)]
-            return [a for o in outs for a in (o.logits.data, o.next_feature.data)]
+            return [t.data for out in outs for t in out]
 
         assert_same_as_three_matmuls(monkeypatch, run)
 
@@ -179,9 +181,9 @@ class TestStackedQkvEqualsThreeMatmuls:
         def run():
             T.clear_tape()
             logits, features = target.forward(tokens)
-            out = draft.forward(feats, tokens)
+            draft_logits, draft_features = draft.forward(feats, tokens)
             assert len(T._TAPE) > 0
-            return logits.data, features.data, out.logits.data, out.next_feature.data
+            return logits.data, features.data, draft_logits.data, draft_features.data
 
         assert_same_as_three_matmuls(monkeypatch, run)
 
@@ -196,6 +198,9 @@ class TestStackedQkvEqualsThreeMatmuls:
         _, bias = M._preamble(target.config, np.zeros((1, 7, 128), np.float32),
                               40 + tree.depths, tree_attention_mask(tree, 40), cache)
         assert bias.shape == (7, 47) and (bias == M.MASK_OFF).any()
+        _, narrow = M._preamble(target.config, np.zeros((1, 7, 128), np.float32),
+                                40 + tree.depths, tree_attention_mask(tree), cache)
+        np.testing.assert_array_equal(narrow, bias[:, 40:])
 
 
 class TestScaleBias:
@@ -208,11 +213,133 @@ class TestScaleBias:
         np.testing.assert_array_equal(x, kept)
         np.testing.assert_array_equal(T.KERNELS.scale_bias(x, 0.25, bias), taped.data)
 
+    def test_a_narrow_bias_fills_the_last_columns(self):
+        x = np.random.default_rng(9).normal(size=(1, 2, 4, 9)).astype(np.float32)
+        narrow = np.where(M.causal_mask(4, 5), 0.0, M.MASK_OFF).astype(np.float32)
+        wide = np.zeros((4, 9), np.float32)
+        wide[:, 4:] = narrow
+        want = T.KERNELS.scale_bias(x.copy(), 0.25, wide)
+        np.testing.assert_array_equal(T.KERNELS.scale_bias(x.copy(), 0.25, narrow), want)
+        np.testing.assert_array_equal(T.scale_bias(T.Tensor(x), 0.25, narrow).data, want)
+
     def test_no_bias_equals_a_zero_bias(self):
         x = np.random.default_rng(8).normal(size=(1, 2, 1, 6)).astype(np.float32)
         zero = T.KERNELS.scale_bias(x.copy(), 0.25, np.zeros((1, 6), np.float32))
         np.testing.assert_array_equal(T.KERNELS.scale_bias(x.copy(), 0.25, None), zero)
         np.testing.assert_array_equal(T.scale_bias(T.Tensor(x), 0.25, None).data, zero)
+
+
+def arms():
+    """The tape, then ``no_grad``."""
+    return contextlib.nullcontext(), T.no_grad()
+
+
+def prefilled(model, tokens, feats=None):
+    """A cache of ``model`` holding the rows of ``tokens`` (and, for the
+    draft, of ``feats``)."""
+    cache = model.new_cache()
+    if feats is None:
+        model.forward(tokens, cache=cache)
+    else:
+        model.forward(feats, tokens[None], cache=cache)
+    return cache
+
+
+def assert_same_outputs(a, b):
+    assert len(a) == len(b) == 2
+    for x, y in zip(a, b):
+        np.testing.assert_array_equal(x.data, y.data)
+
+
+class TestMaskOverTheLastKeys:
+    """A (T, K) mask over the last K keys gives the logits and features,
+    bit for bit, of the full-width mask whose earlier columns are True."""
+
+    @pytest.mark.parametrize("prefix,rows", [(40, 1), (40, 7), (380, 7)])
+    def test_target_and_draft(self, committed, prefix, rows):
+        target, draft = committed
+        rng = np.random.default_rng(prefix + rows)
+        tokens = rng.integers(0, 512, size=prefix + 1)
+        tree = random_tree(rng, rows, vocab=512)
+        positions = prefix + tree.depths
+        narrow, wide = tree_attention_mask(tree), tree_attention_mask(tree, prefix)
+        with T.no_grad():
+            _, feats = target.forward(tokens)
+        feats = feats.data[None]
+        tree_feats = np.repeat(feats[:, -1:], rows, axis=1)
+        for arm in arms():
+            with arm:
+                outs = [target.forward(tree.tokens, positions=positions, mask=mask,
+                                       cache=prefilled(target, tokens[:prefix]))
+                        for mask in (narrow, wide)]
+                assert_same_outputs(*outs)
+                outs = [draft.forward(tree_feats, tree.tokens[None], positions=positions,
+                                      mask=mask,
+                                      cache=prefilled(draft, tokens[1:prefix + 1], feats[:, :-1]))
+                        for mask in (narrow, wide)]
+                assert_same_outputs(*outs)
+            T.clear_tape()
+
+    def test_builder_levels(self, committed):
+        """Each level of ``build_draft_tree`` against 40 committed draft rows
+        passes a mask over the keys from the root on; widened to every key,
+        it gives the same outputs and the same tree."""
+        target, draft = committed
+        rng = np.random.default_rng(40)
+        tokens = rng.integers(0, 512, size=42)
+        with T.no_grad():
+            _, feats = target.forward(tokens)
+        feats = feats.data
+        widths = []
+
+        class Widened:
+            """The draft, its masks widened to every key of the cache."""
+
+            def __init__(self, widen):
+                self.widen = widen
+                self.outputs = []
+
+            def forward(self, feats, tokens, positions=None, mask=None, cache=None):
+                if mask is not None and self.widen:
+                    full = np.ones((len(mask), len(cache) + len(mask)), dtype=bool)
+                    full[:, -mask.shape[1]:] = mask
+                    mask = full
+                elif mask is not None:
+                    widths.append((mask.shape[1], len(cache) + len(mask)))
+                out = draft.forward(feats, tokens, positions, mask, cache)
+                self.outputs.append(out)
+                return out
+
+        for arm in arms():
+            with arm:
+                built = []
+                for widen in (False, True):
+                    drafter = Widened(widen)
+                    tree, _ = TR.build_draft_tree(
+                        drafter, feats[40], int(tokens[41]), depth=5, expand_k=8, select_m=8,
+                        budget=60, cache=prefilled(draft, tokens[1:41], feats[None, :40]))
+                    built.append((tree.to_json(), drafter.outputs))
+            (narrow_tree, narrow_out), (wide_tree, wide_out) = built
+            assert narrow_tree == wide_tree
+            assert len(narrow_out) == len(wide_out) > 2
+            for a, b in zip(narrow_out, wide_out):
+                assert_same_outputs(a, b)
+            T.clear_tape()
+        assert widths and all(k < full for k, full in widths)
+
+    @pytest.mark.parametrize("width", [6, 48])
+    def test_a_mask_outside_the_rows_and_keys_is_refused(self, committed, width):
+        # 7 rows against 40 cached: K must lie in [7, 47]
+        target, draft = committed
+        mask = np.ones((7, width), dtype=bool)
+        rows = np.arange(7)
+        with T.no_grad():
+            with pytest.raises(ContractError, match="attention mask"):
+                target.forward(rows, mask=mask, cache=prefilled(target, np.arange(40)))
+            feats = np.zeros((1, 40, 128), dtype=np.float32)
+            with pytest.raises(ContractError, match="attention mask"):
+                draft.forward(feats[:, :7], rows[None], mask=mask,
+                              cache=prefilled(draft, np.arange(40), feats))
 
 
 class TestTensorsBuilt:
@@ -246,7 +373,7 @@ class TestTensorsBuilt:
             cache = draft.new_cache()
             built = self.count_tensors(monkeypatch)
             draft.forward(feats, [[1, 2, 3]], cache=cache)
-        assert built[0] <= 3
+        assert built[0] <= 2
 
 
 class TestKvCache:

@@ -2,6 +2,7 @@
 checkpoint round-trips."""
 
 import builtins
+import contextlib
 import json
 import os
 import struct
@@ -9,6 +10,7 @@ import struct
 import numpy as np
 import pytest
 
+import oracles
 from specdec import model as M
 from specdec import tensor as T
 from specdec.errors import CapacityError, CheckpointFormatError, ConfigError, ContractError, DimensionError
@@ -244,31 +246,43 @@ class TestDraftModel:
         return rng.normal(size=(1, n, 16)).astype(np.float32), rng.integers(0, 32, size=(1, n))
 
     def test_zero_mlp_shares_residual(self):
-        _, _, draft = self._stack()
+        # both MLP halves zero: the head reads the returned feature, r itself
+        _, target, draft = self._stack()
         draft.layer.mlp.down.weight.data[:] = 0.0
-        out = draft.forward(*self._inputs(0, 3))
-        np.testing.assert_array_equal(out.logit_feature.data, out.next_feature.data)
+        logits, feats = draft.forward(*self._inputs(0, 3))
+        np.testing.assert_array_equal(logits.data,
+                                      oracles.logits_from_features(target, feats).data)
 
     def test_path_separation(self):
-        # perturbing the autoregression half of the MLP leaves logits untouched
+        # perturbing the autoregression half of the MLP leaves logits untouched,
+        # and perturbing the logit half leaves the features untouched
         cfg, _, draft = self._stack()
-        feats, tokens = self._inputs(1, 4)
-        before = draft.forward(feats, tokens)
+        inputs = self._inputs(1, 4)
+        logits, feats = draft.forward(*inputs)
         draft.layer.mlp.down.weight.data[:, cfg.hidden_size:] += 0.37
-        after = draft.forward(feats, tokens)
-        np.testing.assert_array_equal(after.logits.data, before.logits.data)
-        np.testing.assert_array_equal(after.logit_feature.data, before.logit_feature.data)
-        assert np.abs(after.next_feature.data - before.next_feature.data).max() > 0
+        logits_auto, feats_auto = draft.forward(*inputs)
+        np.testing.assert_array_equal(logits_auto.data, logits.data)
+        assert np.abs(feats_auto.data - feats.data).max() > 0
+        draft.layer.mlp.down.weight.data[:, :cfg.hidden_size] += 0.37
+        logits_both, feats_both = draft.forward(*inputs)
+        np.testing.assert_array_equal(feats_both.data, feats_auto.data)
+        assert np.abs(logits_both.data - logits_auto.data).max() > 0
 
     def test_single_path_variant_ties_outputs(self):
-        _, _, draft = self._stack(variant="no_pad")
-        out = draft.forward(*self._inputs(2, 3))
-        assert out.logit_feature is out.next_feature
+        # a single-path draft's head reads the very features it returns
+        inputs = self._inputs(2, 3)
+        for variant in ("no_pad", "neither"):
+            _, target, draft = self._stack(variant=variant)
+            for arm in (contextlib.nullcontext(), T.no_grad()):  # the tape, then the kernels
+                with arm:
+                    logits, feats = draft.forward(*inputs)
+                    head = oracles.logits_from_features(target, feats)
+                np.testing.assert_array_equal(logits.data, head.data)
 
     def test_matches_manual_layer_oracle(self):
         cfg, target, draft = self._stack(seed=11)
         feats, tokens = self._inputs(3, 3)
-        out = draft.forward(feats, tokens)
+        logits, next_feats = draft.forward(feats, tokens)
 
         # manual recomputation of the wide-MLP layer with explicit split
         x = draft.connector(T.Tensor(feats), T.embedding(target.embed, tokens))
@@ -281,18 +295,17 @@ class TestDraftModel:
                         draft.layer.mlp.down.weight)
         m_logit = wide.data[..., :16]
         m_auto = wide.data[..., 16:]
-        np.testing.assert_allclose(out.logit_feature.data, r.data + m_logit, atol=1e-6)
-        np.testing.assert_allclose(out.next_feature.data, r.data + m_auto, atol=1e-6)
+        np.testing.assert_allclose(next_feats.data, r.data + m_auto, atol=1e-6)
         head_in = T.rms_norm(T.Tensor(r.data + m_logit), target.final_norm.weight)
-        np.testing.assert_allclose(out.logits.data,
+        np.testing.assert_allclose(logits.data,
                                    T.matmul(head_in, target.head.weight).data, atol=1e-6)
 
     def test_shared_head_is_observed(self):
         _, target, draft = self._stack(seed=12)
         feats, tokens = self._inputs(4, 2)
-        before = draft.forward(feats, tokens).logits.data.copy()
+        before = draft.forward(feats, tokens)[0].data.copy()
         target.head.weight.data[:] += 0.25
-        after = draft.forward(feats, tokens).logits.data
+        after = draft.forward(feats, tokens)[0].data
         assert np.abs(after - before).max() > 0
 
     def test_unknown_variant(self):

@@ -69,7 +69,7 @@ class TestCorpusBuild:
             prompts = C.task_prompts(task, 5, seed=1)
             assert len(prompts) == 5
             assert all(isinstance(p, str) and p for p in prompts)
-        with pytest.raises(ValueError):
+        with pytest.raises(ContractError):
             C.task_prompts("bogus", 3)
 
 
@@ -389,8 +389,8 @@ class TestEvalAccuracy:
                 for i in range(len(tokens) - 1):
                     if i + 1 < prompt_len:
                         continue
-                    out = draft.forward(feats[:, : i + 1], tokens[None, 1: i + 2])
-                    row = out.logits.data[0, -1]
+                    logits_i, _ = draft.forward(feats[:, : i + 1], tokens[None, 1: i + 2])
+                    row = logits_i.data[0, -1]
                     want = int(np.argmax(logits[0, i + 1]))
                     order = np.argsort(-row, kind="stable")
                     hits1 += int(order[0] == want)

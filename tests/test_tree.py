@@ -38,7 +38,7 @@ class OneHotStubDraft:
             cache.append(0, np.zeros((1, n, 1), np.float32), np.zeros((1, n, 1), np.float32))
         logits = np.full((1, n, self.vocab), -100.0, dtype=np.float32)
         logits[..., self.tok] = 100.0
-        return M.DraftStepOutput(T.Tensor(feats), T.Tensor(feats), T.Tensor(logits))
+        return T.Tensor(logits), T.Tensor(feats)
 
 
 def build(draft, feat, token, **kw):
