@@ -6,7 +6,6 @@ Run from the repository root:  python3 demos/02_tree_drafting.py
 import numpy as np
 
 from specdec import model as M
-from specdec import tensor as T
 from specdec.tree import build_draft_tree, tree_attention_mask
 
 cfg = M.ModelConfig(vocab_size=32, hidden_size=16, intermediate_size=24,
@@ -20,9 +19,10 @@ rng = np.random.default_rng(2)
 root_feature = rng.normal(size=cfg.hidden_size).astype(np.float32)
 root_token = 7
 
-with T.no_grad():
-    tree, passes = build_draft_tree(draft, root_feature, root_token,
-                                    depth=3, expand_k=3, select_m=2, budget=6)
+# the draft passes run against the draft's KV cache, so they are inference
+# forwards whatever the grad mode
+tree, passes = build_draft_tree(draft, root_feature, root_token,
+                                depth=3, expand_k=3, select_m=2, budget=6)
 
 print(f"built a tree of {len(tree) - 1} candidates "
       f"in {passes} draft forward passes\n")

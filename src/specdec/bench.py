@@ -51,11 +51,6 @@ class DraftingConfig(ConfigSection):
             if getattr(self, name) < 1:
                 raise ConfigError(f"drafting.{name} must be >= 1, got {getattr(self, name)}")
 
-    def halved(self):
-        """Half the node budget and the per-step top-k, same depth."""
-        return DraftingConfig(depth=self.depth, expand_k=max(1, self.expand_k // 2),
-                              select_m=self.select_m, budget=max(1, self.budget // 2))
-
 
 @dataclass
 class BenchConfig(ConfigSection):

@@ -170,8 +170,9 @@ def latency_table(target):
 
 def measure_latency(target):
     """The median of ``LATENCY_REPEATS`` timings of a target verify forward
-    and of a draft pass of each of ``LATENCY_ROWS`` rows, on random inputs,
-    against caches of ``LATENCY_PREFIX`` rows.
+    and of a draft pass of each of ``LATENCY_ROWS`` rows, siblings at one
+    depth as on a tree level, on random inputs, against caches of
+    ``LATENCY_PREFIX`` rows.
 
     The draft is a fresh default-variant ``DraftModel`` of the target's
     config, so that the table is one function of the target config and
@@ -183,29 +184,28 @@ def measure_latency(target):
     prefix = min(LATENCY_PREFIX, config.max_seq_len - 1)
     rng = np.random.default_rng(0)
     times = np.empty((LATENCY_REPEATS, 2, len(LATENCY_ROWS)))
-    with T.no_grad():
-        target_cache, draft_cache = target.new_cache(), draft.new_cache()
-        ids = rng.integers(0, config.vocab_size, size=prefix + 1)
-        _, feats = target.forward(ids[:-1], cache=target_cache)
-        draft.forward(feats.data[None], ids[None, 1:], cache=draft_cache)
-        for repeat in range(LATENCY_REPEATS):
-            for j, rows in enumerate(LATENCY_ROWS):
-                ids = rng.integers(0, config.vocab_size, size=rows)
-                feats = rng.normal(size=(1, rows, config.hidden_size)).astype(np.float32)
-                at = np.full(rows, prefix)
-                times[repeat, 0, j] = _timed_ms(target.forward, (ids,), at, target_cache)
-                times[repeat, 1, j] = _timed_ms(draft.forward, (feats, ids[None]), at,
-                                                draft_cache)
+    target_cache, draft_cache = target.new_cache(), draft.new_cache()
+    ids = rng.integers(0, config.vocab_size, size=prefix + 1)
+    _, feats = target.forward(ids[:-1], cache=target_cache)
+    draft.forward(feats.data[None], ids[None, 1:], cache=draft_cache)
+    for repeat in range(LATENCY_REPEATS):
+        for j, rows in enumerate(LATENCY_ROWS):
+            ids = rng.integers(0, config.vocab_size, size=rows)
+            feats = rng.normal(size=(1, rows, config.hidden_size)).astype(np.float32)
+            siblings = np.eye(rows, dtype=bool)
+            times[repeat, 0, j] = _timed_ms(target.forward, (ids,), siblings, target_cache)
+            times[repeat, 1, j] = _timed_ms(draft.forward, (feats, ids[None]), siblings,
+                                            draft_cache)
     verify, drafted = np.median(times, axis=0)
     return LatencyTable(list(LATENCY_ROWS), verify.tolist(), drafted.tolist())
 
 
-def _timed_ms(forward, inputs, positions, cache):
-    """Milliseconds of one run of ``forward`` over ``inputs``, cut back out
-    of ``cache`` after it."""
+def _timed_ms(forward, inputs, mask, cache):
+    """Milliseconds of one run of ``forward`` over ``inputs`` under ``mask``,
+    cut back out of ``cache`` after it."""
     length = len(cache)
     start = time.perf_counter()
-    forward(*inputs, positions=positions, cache=cache)
+    forward(*inputs, mask=mask, cache=cache)
     elapsed = time.perf_counter() - start
     cache.truncate(length)
     return 1000.0 * elapsed
@@ -281,46 +281,44 @@ class SpeculativeEngine:
         start = time.perf_counter()
         stats = GenerationStats()
         committed = list(prompt)
-        with T.no_grad():
-            cache = self.target.new_cache()
-            features = np.empty((max_len, self.target.config.hidden_size), dtype=np.float32)
-            if len(prompt) > 1:  # a one-token prompt has nothing to prefill
-                _, feats = self.target.forward(np.array(prompt[:-1]), cache=cache)
-                features[:len(prompt) - 1] = feats.data
-            self.drafter.reset()
+        cache = self.target.new_cache()
+        features = np.empty((max_len, self.target.config.hidden_size), dtype=np.float32)
+        if len(prompt) > 1:  # a one-token prompt has nothing to prefill
+            _, feats = self.target.forward(np.array(prompt[:-1]), cache=cache)
+            features[:len(prompt) - 1] = feats.data
+        self.drafter.reset()
 
-            step = 0
-            while len(committed) < stop:
-                prefix = len(cache)  # == len(committed) - 1
-                max_depth = max_len - len(committed)
-                tree, passes = self.drafter.propose(committed, features[:prefix], max_depth)
-                if tree.tokens[0] != committed[-1]:
-                    raise ContractError(f"drafted tree is rooted at token {tree.tokens[0]}, "
-                                        f"not at the newest committed {committed[-1]}")
-                if tree.depths.max() > max_depth:
-                    raise ContractError(f"drafted tree of depth {tree.depths.max()} does not fit "
-                                        f"the {max_depth} positions left")
-                logits, node_feats = self.target.forward(
-                    tree.tokens, positions=prefix + tree.depths,
-                    mask=tree_attention_mask(tree), cache=cache)
+        step = 0
+        while len(committed) < stop:
+            prefix = len(cache)  # == len(committed) - 1
+            max_depth = max_len - len(committed)
+            tree, passes = self.drafter.propose(committed, features[:prefix], max_depth)
+            if tree.tokens[0] != committed[-1]:
+                raise ContractError(f"drafted tree is rooted at token {tree.tokens[0]}, "
+                                    f"not at the newest committed {committed[-1]}")
+            if tree.depths.max() > max_depth:
+                raise ContractError(f"drafted tree of depth {tree.depths.max()} does not fit "
+                                    f"the {max_depth} positions left")
+            logits, node_feats = self.target.forward(tree.tokens, mask=tree_attention_mask(tree),
+                                                     cache=cache)
 
-                if temperature == 0.0:
-                    result = verify_greedy(tree, logits.data)
-                else:
-                    probs = _temperature_probs(logits.data, temperature)
-                    result = verify_stochastic(tree, probs, step_rng(seed, step))
+            if temperature == 0.0:
+                result = verify_greedy(tree, logits.data)
+            else:
+                probs = _temperature_probs(logits.data, temperature)
+                result = verify_stochastic(tree, probs, step_rng(seed, step))
 
-                rows = [0] + result.accepted_path
-                cache.keep(np.concatenate([np.arange(prefix), prefix + np.array(rows)]))
-                features[prefix:prefix + len(rows)] = node_feats.data[rows]
-                committed.extend(result.accepted_tokens)
-                committed.append(result.bonus_token)
+            rows = [0] + result.accepted_path
+            cache.keep(np.concatenate([np.arange(prefix), prefix + np.array(rows)]))
+            features[prefix:prefix + len(rows)] = node_feats.data[rows]
+            committed.extend(result.accepted_tokens)
+            committed.append(result.bonus_token)
 
-                stats.record_step(len(result.accepted_tokens), len(tree), passes)
-                step += 1
-                if eos_id is not None and eos_id in committed[-len(rows):]:  # the emitted tokens
-                    del committed[committed.index(eos_id, len(committed) - len(rows)) + 1:]
-                    break
+            stats.record_step(len(result.accepted_tokens), len(tree), passes)
+            step += 1
+            if eos_id is not None and eos_id in committed[-len(rows):]:  # the emitted tokens
+                del committed[committed.index(eos_id, len(committed) - len(rows)) + 1:]
+                break
 
         new_tokens = committed[len(prompt):stop]
         stats.emitted = len(new_tokens)
@@ -364,25 +362,24 @@ def vanilla_generate(target, prompt, max_new, temperature=0.0, seed=0, eos_id=No
     start = time.perf_counter()
     stats = GenerationStats()
     out = []
-    with T.no_grad():
-        cache = target.new_cache()
-        logits, _ = target.forward(np.array(prompt), cache=cache)
+    cache = target.new_cache()
+    logits, _ = target.forward(np.array(prompt), cache=cache)
+    row = logits.data[-1]
+    for step in range(max_new):
+        if temperature == 0.0:
+            tok = int(np.argmax(row))
+        else:
+            tok = _sample(_temperature_probs(row[None], temperature)[0], step_rng(seed, step))
+        out.append(tok)
+        stats.emitted += 1
+        stats.target_passes += 1
+        if eos_id is not None and tok == eos_id:
+            break
+        if len(cache) + 1 >= max_len:
+            stats.truncated = True
+            break
+        logits, _ = target.forward(np.array([tok]), cache=cache)
         row = logits.data[-1]
-        for step in range(max_new):
-            if temperature == 0.0:
-                tok = int(np.argmax(row))
-            else:
-                tok = _sample(_temperature_probs(row[None], temperature)[0], step_rng(seed, step))
-            out.append(tok)
-            stats.emitted += 1
-            stats.target_passes += 1
-            if eos_id is not None and tok == eos_id:
-                break
-            if len(cache) + 1 >= max_len:
-                stats.truncated = True
-                break
-            logits, _ = target.forward(np.array([tok]), cache=cache)
-            row = logits.data[-1]
     stats.wall_ms = (time.perf_counter() - start) * 1000.0
     return out, stats
 
@@ -423,6 +420,5 @@ class OracleChainDrafter:
         pass
 
     def propose(self, committed, features, max_depth):
-        with T.no_grad():
-            chain, _ = vanilla_generate(self.target, committed, min(self.depth, max_depth))
+        chain, _ = vanilla_generate(self.target, committed, min(self.depth, max_depth))
         return chain_tree(committed[-1:] + chain), 0

@@ -10,25 +10,24 @@ token ids; its connector fuses feature row i with the embedding of token
 i into the layer's input row.
 
 Both forwards return (logits, features), the features being what the
-next step reads, and share one preamble: positions default to following
-the cache, the boolean visibility mask over the last keys (every earlier,
-committed key is visible) defaults to causal and becomes an additive bias
-once (none at all when every row sees every key, as in a 1-row decode),
-and the rows of the rotary tables for those positions are picked once per
-forward and handed to every layer.  The tables themselves are built once
-per (max_seq_len, head_dim, base, dtype), so a model builds them once.
+next step reads, and share one preamble: the boolean visibility mask over
+the last keys (every earlier, committed key is visible) defaults to
+causal, places each row at the number of keys it sees less one, and
+becomes an additive bias once (none at all when every row sees every key,
+as in a 1-row decode); the rows of the rotary tables for those positions
+are picked once per forward and handed to every layer.  The tables
+themselves are built once per (max_seq_len, head_dim, base, dtype).
 
 Each attention layer keeps its Q, K and V projections in one (3, hidden,
 hidden) parameter, computed by one matmul and rotated by one RoPE; the
 names ``attn.wq`` / ``attn.wk`` / ``attn.wv`` stay, each a live view of
 its slab, so checkpoints still store one tensor per name.
 
-Every forward picks its ops once (``tensor.forward_ops()``) and hands
-them to every layer with the rotary rows and the bias: the tape ops
-while gradients are recorded, and under ``tensor.no_grad()`` their own
-kernels on bare arrays, so that inference builds Tensors only for what a
-forward returns.  All inference paths are expected to run inside
-``tensor.no_grad()``.
+Every forward picks its ops once and hands them to every layer: a forward
+given a KV cache is an inference forward and runs ``tensor.KERNELS``, the
+tape ops' own kernels on bare arrays, whatever the grad mode; any other
+runs ``tensor.forward_ops()``, the tape ops unless under ``no_grad``.
+Inference builds Tensors only for what a forward returns.
 """
 
 from __future__ import annotations
@@ -89,6 +88,12 @@ class ModelConfig(ConfigSection):
     rope_base: float = 10000.0
 
     def __post_init__(self):
+        for name in ("vocab_size", "hidden_size", "intermediate_size", "n_layers", "n_heads",
+                     "max_seq_len"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"model.{name} must be >= 1, got {getattr(self, name)}")
+        if not self.rope_base > 0:
+            raise ConfigError(f"model.rope_base must be > 0, got {self.rope_base}")
         if self.hidden_size % self.n_heads != 0:
             raise ConfigError(
                 f"hidden_size {self.hidden_size} not divisible by n_heads {self.n_heads}"
@@ -110,7 +115,10 @@ class ModelConfig(ConfigSection):
 
 
 def _init(rng, shape, scale=0.02):
-    return Tensor(rng.normal(0.0, scale, size=shape).astype(np.float32), requires_grad=True)
+    """A trainable N(0, scale) draw from ``rng``, or zeros for a None ``rng``
+    (a model whose every tensor is about to be overwritten)."""
+    data = np.zeros(shape, np.float32) if rng is None else rng.normal(0.0, scale, size=shape)
+    return Tensor(data.astype(np.float32, copy=False), requires_grad=True)
 
 
 class Linear:
@@ -286,8 +294,8 @@ class Attention:
         if cache is not None:
             if b != 1:
                 raise ContractError("cached attention supports batch size 1")
-            k, v = cache.append(layer_idx, ops.value(k)[0], ops.value(v)[0])
-            k, v = ops.const(k[None]), ops.const(v[None])
+            # a forward given a cache runs on arrays: the model hands it KERNELS
+            k, v = (a[None] for a in cache.append(layer_idx, k[0], v[0]))
 
         scores = ops.matmul(q, ops.transpose(k, (0, 1, 3, 2)))
         scores = ops.scale_bias(scores, 1.0 / math.sqrt(dh), bias)  # into the fresh scores
@@ -330,39 +338,39 @@ class DecoderLayer:
         return {f"{prefix}{name}.weight": part.weight for name, part in parts.items()}
 
 
-def causal_mask(n_queries, n_keys):
-    """Boolean visibility letting query i see keys 0..(n_keys - n_queries + i)."""
-    offset = n_keys - n_queries
-    if offset < 0:
-        raise ContractError(f"more queries ({n_queries}) than keys ({n_keys})")
-    return np.arange(n_keys)[None, :] <= np.arange(n_queries)[:, None] + offset
+def causal_mask(t):
+    """Boolean (t, t) visibility letting row i see rows 0..i."""
+    return np.arange(t)[None, :] <= np.arange(t)[:, None]
 
 
-def _preamble(config, x, positions, mask, cache):
+def _preamble(config, x, mask, cache):
     """Rotary rows and additive bias for the rows of ``x`` (B, T, hidden).
 
-    ``positions`` default to following the cache.  ``mask`` is a boolean
-    (T, K) visibility over the last K keys, T <= K <= cached + T; every
-    earlier key is visible to every row.  It defaults to causal over the T
-    rows.  The bias, (T, K), is None when every row sees every key.  T
-    must be at least 1.
+    ``mask`` is a boolean (T, K) visibility over the last K keys, T <= K <=
+    cached + T, in which row r must see its own key, column K - T + r;
+    every earlier key is visible to every row.  It defaults to causal over
+    the T rows.  A row's position is the number of keys it sees, less one.
+    The bias, (T, K), is None when every row sees every key.  T must be at
+    least 1.
     """
     t = x.shape[1]
     if t == 0:
         raise ContractError("a forward pass needs at least one row")
     past = len(cache) if cache is not None else 0
-    positions = np.arange(past, past + t) if positions is None else np.asarray(positions)
-    if positions.max(initial=0) >= config.max_seq_len:
+    if mask is None:
+        mask, positions = causal_mask(t), np.arange(past, past + t)
+    else:
+        if mask.ndim != 2 or mask.shape[0] != t or not t <= mask.shape[1] <= past + t:
+            raise ContractError(f"attention mask shape {mask.shape} is not ({t}, K) for a K "
+                                f"in [{t}, {past + t}], the queries and the last keys")
+        own = mask[:, -t:].diagonal()
+        if not own.all():
+            raise ContractError(f"attention mask row {int(own.argmin())} does not see its own key")
+        positions = past + t - mask.shape[1] - 1 + mask.sum(axis=1)
+    if positions.max() >= config.max_seq_len:
         raise CapacityError(
             f"position {int(positions.max())} exceeds max_seq_len {config.max_seq_len}"
         )
-    if positions.min(initial=0) < 0:
-        raise ContractError(f"negative position {int(positions.min())}")
-    if mask is None:
-        mask = causal_mask(t, t)
-    if mask.ndim != 2 or mask.shape[0] != t or not t <= mask.shape[1] <= past + t:
-        raise ContractError(f"attention mask shape {mask.shape} is not ({t}, K) for a K "
-                            f"in [{t}, {past + t}], the queries and the last keys")
     rope = rotary_rows(config, positions, x.dtype)
     if mask.all():
         return rope, None
@@ -375,30 +383,31 @@ class TargetModel:
     """Decoder-only transformer exposing (logits, features) per position."""
 
     def __init__(self, config, seed=0):
-        rng = np.random.default_rng(seed)
+        """Parameters drawn from ``seed``; all zeros for a None ``seed``."""
+        rng = None if seed is None else np.random.default_rng(seed)
         self.config = config
         self.embed = _init(rng, (config.vocab_size, config.hidden_size))
         self.layers = [DecoderLayer(rng, config) for _ in range(config.n_layers)]
         self.final_norm = RMSNorm(config.hidden_size)
         self.head = Linear(rng, config.hidden_size, config.vocab_size)
 
-    def forward(self, tokens, positions=None, mask=None, cache=None):
+    def forward(self, tokens, mask=None, cache=None):
         """Run the stack over ``tokens``.
 
-        tokens: int array (T,) or (B, T).  When ``cache`` is given the
-        new keys/values are appended (batch must be 1), ``positions``
-        place the new rows and ``mask`` is their visibility over the last
-        keys of the grown cache (see ``_preamble``).
+        tokens: int array (T,) or (B, T).  ``mask`` is the rows' visibility
+        over the last keys, which also places them (see ``_preamble``).
+        When ``cache`` is given the new keys/values are appended (batch
+        must be 1), and no gradient reaches the outputs.
         Returns (logits, features), each with the batch layout of the
         input.
         """
-        ops = T.forward_ops()
+        ops = T.KERNELS if cache is not None else T.forward_ops()
         tokens = np.asarray(tokens)
         squeeze = tokens.ndim == 1
         if squeeze:
             tokens = tokens[None]
         features = ops.embedding(ops.leaf(self.embed), tokens)
-        rope, bias = _preamble(self.config, features, positions, mask, cache)
+        rope, bias = _preamble(self.config, features, mask, cache)
         for i, layer in enumerate(self.layers):
             features = layer(features, rope, bias, cache, i, ops)
         logits = self._logits(features, ops)
@@ -484,9 +493,10 @@ class DraftModel:
     """
 
     def __init__(self, config, target, variant="fspad", seed=1):
+        """Parameters drawn from ``seed``; all zeros for a None ``seed``."""
         if variant not in VARIANTS:
             raise ConfigError(f"unknown draft variant {variant!r}; expected one of {VARIANTS}")
-        rng = np.random.default_rng(seed)
+        rng = None if seed is None else np.random.default_rng(seed)
         self.config = config
         self.variant = variant
         self.target = target
@@ -497,16 +507,17 @@ class DraftModel:
             self.connector = LinearCombiner(rng, config)
         self.layer = DecoderLayer(rng, config, mlp_out_mult=2 if self.dual_path else 1)
 
-    def forward(self, feats, tokens, positions=None, mask=None, cache=None):
+    def forward(self, feats, tokens, mask=None, cache=None):
         """Run the draft layer over fused rows; returns (logits, features).
 
         ``feats`` is a (B, T, hidden) array of target or carry features
         and ``tokens`` the (B, T) ids whose embeddings the connector fuses
         into them, row by row.  ``logits`` are the shared head's on the
         logit path and ``features`` the autoregression path's, the carry
-        of the next step; both are (B, T, ...).
+        of the next step; both are (B, T, ...).  ``mask`` and ``cache``
+        are as in ``TargetModel.forward``.
         """
-        ops = T.forward_ops()
+        ops = T.KERNELS if cache is not None else T.forward_ops()
         feats, tokens = ops.const(feats), np.asarray(tokens)
         if tokens.ndim != 2 or feats.shape != tokens.shape + (self.config.hidden_size,):
             raise DimensionError(
@@ -514,7 +525,7 @@ class DraftModel:
                 f"and hidden size {self.config.hidden_size}"
             )
         fused = self.connector(feats, ops.embedding(ops.leaf(self.target.embed), tokens), ops)
-        rope, bias = _preamble(self.config, fused, positions, mask, cache)
+        rope, bias = _preamble(self.config, fused, mask, cache)
         r = self.layer.residual_after_attention(fused, rope, bias, cache, 0, ops)
         m = self.layer.mlp(self.layer.mlp_norm(r, ops), ops)
         if self.dual_path:
@@ -624,11 +635,12 @@ def load_checkpoint(path, target=None):
         try:
             config = ModelConfig.from_dict(meta.get("config", {}))
             if kind == "target":
-                model = TargetModel(config, seed=0)
+                model = TargetModel(config, seed=None)
             elif kind == "draft":
                 if target is None:
                     raise ContractError("loading a draft checkpoint requires the target model")
-                model = DraftModel(config, target, variant=meta.get("variant", "fspad"), seed=0)
+                model = DraftModel(config, target, variant=meta.get("variant", "fspad"),
+                                   seed=None)
             else:
                 raise CheckpointFormatError(f"unknown checkpoint kind {kind!r}")
         except ConfigError as e:

@@ -4,8 +4,9 @@ Tensors wrap float32 numpy arrays (float64 is accepted everywhere for
 oracle-grade math); reductions accumulate in float64 before casting back
 to the storage dtype.  Differentiable ops append an entry to a global
 tape; ``backward`` replays the tape once, in reverse recorded order.
-The tape is rebuilt from scratch every training step, and inference code
-runs inside ``no_grad()`` so the tape stays empty.
+The tape is rebuilt from scratch every training step.  Inference never
+touches it: a model forward given a KV cache runs the kernels below
+whatever the grad mode, and any other forward does under ``no_grad()``.
 
 Each forward op is a private kernel (arrays in, an array out, with the
 op's shape, range and NaN checks and its float64 accumulation; for
@@ -582,15 +583,13 @@ class _TapeOps:
     """The tape ops over Tensors.  Ops are looked up on the module when
     called, so a wrapped module function is the one that runs.
 
-    Besides the ops, both op sets carry four adapters: ``leaf`` takes a
+    Besides the ops, both op sets carry three adapters: ``leaf`` takes a
     Tensor (a parameter or a caller's tensor) in, ``const`` an outside
-    array, ``value`` gives an operand's array and ``result`` the Tensor a
-    forward returns.
+    array, and ``result`` gives the Tensor a forward returns.
     """
 
     leaf = result = staticmethod(lambda x: x)
     const = Tensor
-    value = staticmethod(lambda x: x.data)
 
     def __getattr__(self, name):
         return getattr(sys.modules[__name__], name)
@@ -601,12 +600,12 @@ KERNELS = SimpleNamespace(
     add=np.add, sub=np.subtract, mul=np.multiply, scale_bias=_scale_bias, silu=_silu, rope=_rope,
     reshape=_reshape, transpose=_transpose, index=operator.getitem, concat_last=_concat_last,
     matmul=_matmul, embedding=_embedding, rms_norm=_rms_norm, softmax=_softmax,
-    leaf=lambda t: t.data, const=_float_array, value=lambda x: x, result=Tensor)
+    leaf=lambda t: t.data, const=_float_array, result=Tensor)
 
 
 def forward_ops():
-    """The ops a model forward computes with: ``TAPE`` while the tape
-    records, else ``KERNELS``, the tape ops' own kernels on bare arrays."""
+    """The ops of a model forward without a KV cache: ``TAPE`` while the
+    tape records, else ``KERNELS``, the tape ops' own kernels on arrays."""
     return TAPE if _GRAD_ENABLED else KERNELS
 
 

@@ -73,7 +73,16 @@ class Tokenizer:
         return N_BYTES + N_SPECIALS + len(self.merges)
 
     def encode(self, text, add_bos=False, add_eos=False):
-        data = text.encode("utf-8") if isinstance(text, str) else bytes(text)
+        """Token ids of ``text`` (bytes, or a str encoded as UTF-8 with
+        ``surrogateescape``, so that a byte that is not UTF-8 and was
+        decoded to a lone surrogate, as in ``sys.argv``, is that byte
+        again).  Any other lone surrogate raises ``ContractError``."""
+        if isinstance(text, str):
+            try:
+                text = text.encode("utf-8", "surrogateescape")
+            except UnicodeEncodeError as e:
+                raise ContractError(f"text is not encodable as UTF-8: {e}") from e
+        data = bytes(text)
         out = [BOS] if add_bos else []
         memo = self._memo
         for chunk in _CHUNK.findall(data):

@@ -54,7 +54,7 @@ class TokenTree:
 
     Verification tries a node's children in index order.  ``parents`` is
     -1 at the root; ``cond_probs`` and ``joint_probs`` (draft probabilities,
-    float64) default to 1.
+    float64, one per node) default to 1.
     """
 
     def __init__(self, tokens, parents, depths, cond_probs=None, joint_probs=None):
@@ -76,6 +76,9 @@ class TokenTree:
         self.cond_probs = np.ones(n) if cond_probs is None else np.asarray(cond_probs, np.float64)
         self.joint_probs = (np.ones(n) if joint_probs is None
                             else np.asarray(joint_probs, np.float64))
+        if self.cond_probs.shape != (n,) or self.joint_probs.shape != (n,):
+            raise ContractError(f"draft probabilities of shapes {self.cond_probs.shape} and "
+                                f"{self.joint_probs.shape} are not one per node, ({n},)")
 
     def __len__(self):
         return len(self.tokens)
@@ -193,7 +196,6 @@ def build_draft_tree(draft, root_feature, root_token, *, depth, expand_k, select
         _inherit_visibility(sees, expand, parents, keys)
         logits, carried = draft.forward(carry[key_of[parents[expand]]][None],
                                         tokens[expand][None],
-                                        positions=np.full(len(expand), prefix + level),
                                         mask=sees[expand, :keys[-1] + 1], cache=cache)
         passes += 1
         carry[keys] = carried.data[0]

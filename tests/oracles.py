@@ -46,9 +46,8 @@ def three_matmul_attention(attn, x, rope, bias, cache=None, layer_idx=0, ops=T.T
 
     q, k = rotate(heads(attn.wq)), rotate(heads(attn.wk))
     v = heads(attn.wv)
-    if cache is not None:
-        k, v = cache.append(layer_idx, ops.value(k)[0], ops.value(v)[0])
-        k, v = ops.const(k[None]), ops.const(v[None])
+    if cache is not None:  # a forward given a cache runs on arrays
+        k, v = (a[None] for a in cache.append(layer_idx, k[0], v[0]))
     if bias is None:
         bias = np.zeros((t, k.shape[2]), dtype=np.float32)
     scores = ops.matmul(q, ops.transpose(k, (0, 1, 3, 2)))

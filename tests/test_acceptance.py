@@ -3,7 +3,8 @@
 Run with `pytest tests/test_acceptance.py -v -s` to see one PASS/FAIL
 line per criterion.  The toy-scale stack (target + four draft variants)
 trains once per session and is cached under tests/.acceptance_cache; the
-first run takes roughly 10-20 minutes on one core, later runs seconds.
+first run took 8 min 37 s on a shared 2-core box with one BLAS thread,
+later runs seconds.
 """
 
 import itertools
@@ -148,10 +149,8 @@ class TestCriterion2StochasticLosslessness:
                 tree, _ = drafter.propose(committed, np.array(features),
                                           cfg.max_seq_len - len(committed))
                 prefix = len(cache)
-                tokens, positions = tree.tokens, prefix + tree.depths
                 mask = tree_attention_mask(tree, prefix)
-                logits, node_feats = target.forward(tokens, positions=positions,
-                                                    mask=mask, cache=cache)
+                logits, node_feats = target.forward(tree.tokens, mask=mask, cache=cache)
                 probs = E._temperature_probs(logits.data, 1.0)
 
                 rng = E.step_rng(404, pos)
@@ -323,8 +322,9 @@ class TestCriterion7TrainingEffectiveness:
                               prompts_per_task=8, max_new=48, warmup_prompts=0)
         r_full = B.bench_cell(toy.target, toy.drafts["fspad"], toy.tokenizer,
                               "continuation", 0.0, full, bench, seed=71)
+        half = B.DraftingConfig(depth=5, expand_k=4, select_m=8, budget=30)
         r_half = B.bench_cell(toy.target, toy.drafts["fspad"], toy.tokenizer,
-                              "continuation", 0.0, full.halved(), bench, seed=71)
+                              "continuation", 0.0, half, bench, seed=71)
         acc = TR.eval_draft_accuracy(toy.target, toy.drafts["fspad"],
                                      toy.corpus.eval_docs, top_k=(1,), max_docs=40)
         chance = 1.0 / toy.target.config.vocab_size

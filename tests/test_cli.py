@@ -3,6 +3,9 @@
 import argparse
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -120,6 +123,16 @@ class TestExitCodes:
         assert cli.main(["train-target", "--config", str(cfg),
                          "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG
 
+    @pytest.mark.parametrize("model", [{"n_heads": 0}, {"hidden_size": -4}, {"n_layers": 0},
+                                       {"max_seq_len": 0}, {"vocab_size": 0},
+                                       {"intermediate_size": -1}, {"rope_base": 0.0},
+                                       {"rope_base": -2.0}])
+    def test_model_size_out_of_range_is_config_error(self, tmp_path, model):
+        cfg = tmp_path / "model.json"
+        cfg.write_text(json.dumps({"model": {**TINY_CONFIG["model"], **model}}))
+        assert cli.main(["train-target", "--config", str(cfg),
+                         "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG
+
     @pytest.mark.parametrize("drafting", [{"depth": 0}, {"expand_k": 0}, {"select_m": -1},
                                           {"budget": 0}])
     def test_cap_below_one_in_config_is_config_error(self, tmp_path, drafting):
@@ -198,6 +211,16 @@ class TestExitCodes:
         (clone / "target.fspd").write_bytes(raw.replace(b'"hidden_size": 16', b'"hidden_size": 15'))
         assert cli.main(["generate", "--out", str(clone), "--prompt", "x"]) == cli.EXIT_IO
 
+    def test_stored_model_size_out_of_range_is_io_error(self, tiny_run, tmp_path):
+        import shutil
+        _, out = tiny_run
+        clone = tmp_path / "zeroheads"
+        shutil.copytree(out, clone)
+        raw = (clone / "target.fspd").read_bytes()
+        assert raw.count(b'"n_heads": 2') == 1
+        (clone / "target.fspd").write_bytes(raw.replace(b'"n_heads": 2', b'"n_heads": 0'))
+        assert cli.main(["generate", "--out", str(clone), "--prompt", "x"]) == cli.EXIT_IO
+
     def test_malformed_tokenizer_is_io_error(self, tiny_run, tmp_path):
         import shutil
         _, out = tiny_run
@@ -205,6 +228,22 @@ class TestExitCodes:
         shutil.copytree(out, clone)
         (clone / "tokenizer.json").write_text('{"merges": [[999, 2]]}')
         assert cli.main(["generate", "--out", str(clone), "--prompt", "x"]) == cli.EXIT_IO
+
+
+class TestPromptBytes:
+    def test_a_byte_that_is_not_utf8_in_argv_is_encoded_as_that_byte(self, tiny_run):
+        cfg, out = tiny_run
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+        proc = subprocess.run([sys.executable, "-m", "specdec.cli", "generate", "--config", cfg,
+                               "--out", out, "--prompt", b"the fox \xff", "--max-new", "4"],
+                              env=env, capture_output=True, timeout=300)
+        assert proc.returncode == cli.EXIT_OK, proc.stderr
+
+    def test_a_lone_surrogate_is_config_error(self, tiny_run):
+        cfg, out = tiny_run
+        assert cli.main(["generate", "--config", cfg, "--out", out,
+                         "--prompt", "the fox \ud800", "--max-new", "4"]) == cli.EXIT_CONFIG
 
 
 class TestFlagOverrides:

@@ -220,8 +220,7 @@ class TestCommit:
                                           cfg.max_seq_len - len(committed))
                 prefix = len(cache)
                 mask = tree_attention_mask(tree, prefix)
-                logits, node_feats = target.forward(tree.tokens, positions=prefix + tree.depths,
-                                                    mask=mask, cache=cache)
+                logits, node_feats = target.forward(tree.tokens, mask=mask, cache=cache)
                 res = E.verify_greedy(tree, logits.data)
                 keep = np.concatenate([np.arange(prefix),
                                        prefix + np.array([0] + res.accepted_path, dtype=int)])

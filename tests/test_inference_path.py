@@ -1,7 +1,7 @@
-"""The tape-free inference path: forwards under ``no_grad`` run the tape
-ops' own kernels on bare arrays, bit-identical to the tape, build Tensors
-only for what they return, and keep keys and values in growable KV-cache
-buffers."""
+"""The tape-free inference path: forwards under ``no_grad``, and every
+forward given a KV cache, run the tape ops' own kernels on bare arrays,
+bit-identical to the tape, build Tensors only for what they return, and
+keep keys and values in growable KV-cache buffers."""
 
 import contextlib
 import os
@@ -60,22 +60,30 @@ class TestSameValuesOnBothArms:
         np.testing.assert_array_equal(ft.data, ff.data)
 
     def test_target_prefill_and_tree_verify(self):
+        """A forward given a cache is an inference forward in either grad
+        mode: with gradients on it records nothing, equals the ``no_grad``
+        forward bit for bit, and no gradient flows back through it."""
         target = M.TargetModel(micro_config(), seed=2)
         prefix = np.random.default_rng(2).integers(0, 32, size=9)
         tree = small_tree()
-        tokens, positions = tree.tokens, len(prefix) + tree.depths
 
         def run():
             cache = target.new_cache()
             prefill = target.forward(prefix, cache=cache)
-            verify = target.forward(tokens, positions=positions,
-                                    mask=tree_attention_mask(tree, len(prefix)), cache=cache)
+            verify = target.forward(tree.tokens, mask=tree_attention_mask(tree, len(prefix)),
+                                    cache=cache)
             return prefill + verify, cache.keys[1].copy()
 
-        (taped, keys_t), (free, keys_f) = both_arms(run)
+        taped, keys_t = run()
+        assert len(T._TAPE) == 0
+        with T.no_grad():
+            free, keys_f = run()
         for a, b in zip(taped, free):
             np.testing.assert_array_equal(a.data, b.data)
         np.testing.assert_array_equal(keys_t, keys_f)
+        for out in taped:
+            with pytest.raises(ContractError, match="not on the tape"):
+                T.backward(T.sum_all(out))
 
     @pytest.mark.parametrize("variant", M.VARIANTS)
     def test_draft(self, variant):
@@ -135,8 +143,8 @@ class TestStackedQkvEqualsThreeMatmuls:
                 if rows == 1:
                     out += target.forward(tree.tokens, cache=cache)
                 else:
-                    out += target.forward(tree.tokens, positions=prefix + tree.depths,
-                                          mask=tree_attention_mask(tree, prefix), cache=cache)
+                    out += target.forward(tree.tokens, mask=tree_attention_mask(tree, prefix),
+                                          cache=cache)
             return [t.data for t in out] + [cache.keys[-1], cache.values[-1]]
 
         assert_same_as_three_matmuls(monkeypatch, run)
@@ -166,7 +174,6 @@ class TestStackedQkvEqualsThreeMatmuls:
                 outs = [draft.forward(feats[:, :-1], tokens[None, 1:], cache=cache),
                         draft.forward(feats[:, -1:], tokens[None, -1:], cache=cache),
                         draft.forward(np.repeat(feats[:, -1:], 7, axis=1), tree.tokens[None],
-                                      positions=41 + tree.depths,
                                       mask=tree_attention_mask(tree, 41), cache=cache)]
             return [t.data for out in outs for t in out]
 
@@ -193,13 +200,13 @@ class TestStackedQkvEqualsThreeMatmuls:
         with T.no_grad():
             target.forward(np.arange(40), cache=cache)
         row = np.zeros((1, 1, 128), dtype=np.float32)
-        assert M._preamble(target.config, row, None, None, cache)[1] is None
+        assert M._preamble(target.config, row, None, cache)[1] is None
         tree = random_tree(np.random.default_rng(7), 7, vocab=512)
         _, bias = M._preamble(target.config, np.zeros((1, 7, 128), np.float32),
-                              40 + tree.depths, tree_attention_mask(tree, 40), cache)
+                              tree_attention_mask(tree, 40), cache)
         assert bias.shape == (7, 47) and (bias == M.MASK_OFF).any()
         _, narrow = M._preamble(target.config, np.zeros((1, 7, 128), np.float32),
-                                40 + tree.depths, tree_attention_mask(tree), cache)
+                                tree_attention_mask(tree), cache)
         np.testing.assert_array_equal(narrow, bias[:, 40:])
 
 
@@ -207,7 +214,8 @@ class TestScaleBias:
     def test_tape_leaves_its_input_alone_and_equals_the_kernel(self):
         # the kernel writes into the fresh score array it is handed
         x = np.random.default_rng(7).normal(size=(1, 2, 4, 6)).astype(np.float32)
-        bias = np.where(M.causal_mask(4, 6), 0.0, M.MASK_OFF).astype(np.float32)
+        sees = np.arange(6)[None, :] <= np.arange(4)[:, None] + 2  # causal after 2 keys
+        bias = np.where(sees, 0.0, M.MASK_OFF).astype(np.float32)
         kept = x.copy()
         taped = T.scale_bias(T.Tensor(x), 0.25, bias)
         np.testing.assert_array_equal(x, kept)
@@ -215,7 +223,8 @@ class TestScaleBias:
 
     def test_a_narrow_bias_fills_the_last_columns(self):
         x = np.random.default_rng(9).normal(size=(1, 2, 4, 9)).astype(np.float32)
-        narrow = np.where(M.causal_mask(4, 5), 0.0, M.MASK_OFF).astype(np.float32)
+        sees = np.arange(5)[None, :] <= np.arange(4)[:, None] + 1  # causal after 1 key
+        narrow = np.where(sees, 0.0, M.MASK_OFF).astype(np.float32)
         wide = np.zeros((4, 9), np.float32)
         wide[:, 4:] = narrow
         want = T.KERNELS.scale_bias(x.copy(), 0.25, wide)
@@ -261,7 +270,6 @@ class TestMaskOverTheLastKeys:
         rng = np.random.default_rng(prefix + rows)
         tokens = rng.integers(0, 512, size=prefix + 1)
         tree = random_tree(rng, rows, vocab=512)
-        positions = prefix + tree.depths
         narrow, wide = tree_attention_mask(tree), tree_attention_mask(tree, prefix)
         with T.no_grad():
             _, feats = target.forward(tokens)
@@ -269,12 +277,11 @@ class TestMaskOverTheLastKeys:
         tree_feats = np.repeat(feats[:, -1:], rows, axis=1)
         for arm in arms():
             with arm:
-                outs = [target.forward(tree.tokens, positions=positions, mask=mask,
+                outs = [target.forward(tree.tokens, mask=mask,
                                        cache=prefilled(target, tokens[:prefix]))
                         for mask in (narrow, wide)]
                 assert_same_outputs(*outs)
-                outs = [draft.forward(tree_feats, tree.tokens[None], positions=positions,
-                                      mask=mask,
+                outs = [draft.forward(tree_feats, tree.tokens[None], mask=mask,
                                       cache=prefilled(draft, tokens[1:prefix + 1], feats[:, :-1]))
                         for mask in (narrow, wide)]
                 assert_same_outputs(*outs)
@@ -299,14 +306,14 @@ class TestMaskOverTheLastKeys:
                 self.widen = widen
                 self.outputs = []
 
-            def forward(self, feats, tokens, positions=None, mask=None, cache=None):
+            def forward(self, feats, tokens, mask=None, cache=None):
                 if mask is not None and self.widen:
                     full = np.ones((len(mask), len(cache) + len(mask)), dtype=bool)
                     full[:, -mask.shape[1]:] = mask
                     mask = full
                 elif mask is not None:
                     widths.append((mask.shape[1], len(cache) + len(mask)))
-                out = draft.forward(feats, tokens, positions, mask, cache)
+                out = draft.forward(feats, tokens, mask, cache)
                 self.outputs.append(out)
                 return out
 
@@ -340,6 +347,26 @@ class TestMaskOverTheLastKeys:
             with pytest.raises(ContractError, match="attention mask"):
                 draft.forward(feats[:, :7], rows[None], mask=mask,
                               cache=prefilled(draft, np.arange(40), feats))
+
+
+class TestPositionsFollowTheMask:
+    def test_tree_rows_sit_at_prefix_plus_depth(self):
+        """A tree row sees the prefix, its ancestors and itself, so the
+        rotary rows ``_preamble`` picks are those of ``prefix + depths``,
+        under a narrow mask and a full-width one alike."""
+        cfg = micro_config(max_seq_len=128)
+        rng = np.random.default_rng(20)
+        for _ in range(200):
+            tree = random_tree(rng, int(rng.integers(1, 24)))
+            prefix = int(rng.integers(0, 100))
+            cache = M.KvCache(1)
+            cache.append(0, *[np.zeros((1, prefix, 1), np.float32)] * 2)
+            rows = np.zeros((1, len(tree), cfg.hidden_size), np.float32)
+            want = M.rotary_rows(cfg, prefix + tree.depths)
+            for mask in (tree_attention_mask(tree), tree_attention_mask(tree, prefix)):
+                rope, _ = M._preamble(cfg, rows, mask, cache)
+                np.testing.assert_array_equal(rope[0], want[0])
+                np.testing.assert_array_equal(rope[1], want[1])
 
 
 class TestTensorsBuilt:

@@ -114,9 +114,8 @@ class TestTargetForward:
         allowed[0, 3] = True           # root sees itself
         allowed[1, [3, 4]] = True      # child a: root + itself
         allowed[2, [3, 5]] = True      # child b: root + itself
-        positions = np.array([3, 4, 4])
         tree_logits, _ = target.forward(np.array([root, child_a, child_b]),
-                                        positions=positions, mask=allowed, cache=cache)
+                                        mask=allowed, cache=cache)
 
         for child, row in ((child_a, 1), (child_b, 2)):
             lin, _ = target.forward(np.concatenate([prefix, [root, child]]))
@@ -127,10 +126,22 @@ class TestTargetForward:
         with pytest.raises(CapacityError):
             target.forward(np.array([1, 2, 3, 4, 5]))
 
-    def test_negative_position_is_contract_error(self):
-        target = M.TargetModel(micro_config(), seed=7)
-        with pytest.raises(ContractError, match="negative position"):
-            target.forward(np.array([1, 2]), positions=np.array([-1, 0]))
+    def test_a_row_that_does_not_see_its_own_key_is_contract_error(self):
+        cfg = micro_config()
+        target = M.TargetModel(cfg, seed=7)
+        draft = M.DraftModel(cfg, target, seed=8)
+        feats = np.zeros((1, 5, cfg.hidden_size), dtype=np.float32)
+        target_cache, draft_cache = target.new_cache(), draft.new_cache()
+        target.forward(np.array([1, 2, 3]), cache=target_cache)
+        draft.forward(feats[:, :3], [[1, 2, 3]], cache=draft_cache)
+        # row 1 sees the key of row 0 and not its own, over the 2 new keys or all 5
+        narrow = np.array([[True, False], [True, False]])
+        wide = np.concatenate([np.ones((2, 3), dtype=bool), narrow], axis=1)
+        for blind in (narrow, wide):
+            with pytest.raises(ContractError, match="row 1 does not see its own key"):
+                target.forward(np.array([4, 5]), mask=blind, cache=target_cache)
+            with pytest.raises(ContractError, match="row 1 does not see its own key"):
+                draft.forward(feats[:, 3:], [[4, 5]], mask=blind, cache=draft_cache)
 
     def test_empty_input_is_contract_error(self):
         cfg = micro_config()
@@ -287,7 +298,7 @@ class TestDraftModel:
         # manual recomputation of the wide-MLP layer with explicit split
         x = draft.connector(T.Tensor(feats), T.embedding(target.embed, tokens))
         rope = M.rotary_rows(cfg, np.arange(3))
-        bias = np.where(M.causal_mask(3, 3), 0.0, M.MASK_OFF)
+        bias = np.where(M.causal_mask(3), 0.0, M.MASK_OFF)
         r = T.add(x, draft.layer.attn(draft.layer.attn_norm(x), rope, bias))
         h = draft.layer.mlp_norm(r)
         wide = T.matmul(T.mul(T.silu(T.matmul(h, draft.layer.mlp.gate.weight)),
@@ -330,6 +341,20 @@ class TestEmbedding:
 
 
 class TestCheckpoint:
+    def test_load_draws_no_initialisation(self, tmp_path, monkeypatch):
+        target = M.TargetModel(micro_config(), seed=15)
+        M.save_checkpoint(target, tmp_path / "target.fspd")
+        M.save_checkpoint(M.DraftModel(target.config, target, seed=16), tmp_path / "draft.fspd")
+
+        def no_draws(seed=None):
+            raise AssertionError("a load drew a random initialisation")
+
+        monkeypatch.setattr(M.np.random, "default_rng", no_draws)
+        loaded = M.load_checkpoint(tmp_path / "target.fspd")
+        M.load_checkpoint(tmp_path / "draft.fspd", target=loaded)
+        zeros = M.TargetModel(target.config, seed=None)  # the norms' weights start at 1
+        assert not any(p.data.any() for p in zeros.parameters() if p.data.ndim > 1)
+
     def test_target_round_trip_bit_exact(self, tmp_path):
         target = M.TargetModel(micro_config(), seed=15)
         path = tmp_path / "target.fspd"

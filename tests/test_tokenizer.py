@@ -180,6 +180,16 @@ class TestValidation:
         with pytest.raises(ContractError):
             tok.decode_bytes([bad])
 
+    def test_escaped_byte_encodes_as_that_byte(self):
+        # a byte that is not UTF-8, decoded with surrogateescape as sys.argv is
+        tok = TK.Tokenizer()
+        assert tok.encode("a\udcffb") == tok.encode(b"a\xffb") == [97, 255, 98]
+
+    @pytest.mark.parametrize("text", ["a\ud800b", "\udfff", "\udc7f"])
+    def test_other_lone_surrogate_is_contract_error(self, text):
+        with pytest.raises(ContractError, match="UTF-8"):
+            TK.Tokenizer().encode(text)
+
     def test_decode_every_id_in_range(self):
         tok = TK.Tokenizer(merges=[(97, 98), (258, 99)])
         assert tok.decode_bytes(range(tok.vocab_size)).endswith(b"ababc")

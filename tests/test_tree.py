@@ -32,7 +32,7 @@ class OneHotStubDraft:
     def new_cache(self):
         return M.KvCache(1)
 
-    def forward(self, feats, tokens, positions=None, mask=None, cache=None):
+    def forward(self, feats, tokens, mask=None, cache=None):
         n = feats.shape[1]
         if cache is not None:
             cache.append(0, np.zeros((1, n, 1), np.float32), np.zeros((1, n, 1), np.float32))
@@ -338,6 +338,14 @@ class TestAttentionMask:
     def test_non_topological_order_rejected(self):
         with pytest.raises(ContractError):
             TR.TokenTree([1, 2, 3], [-1, 2, 0], [0, 1, 1])
+
+    @pytest.mark.parametrize("probs", [dict(cond_probs=[1.0, 0.5]),
+                                       dict(joint_probs=[1.0, 0.5, 0.5, 0.5]),
+                                       dict(cond_probs=[[1.0, 0.5, 0.5]]),
+                                       dict(joint_probs=1.0)])
+    def test_probabilities_not_one_per_node_rejected(self, probs):
+        with pytest.raises(ContractError, match="one per node"):
+            TR.TokenTree([1, 2, 3], [-1, 0, 0], [0, 1, 1], **probs)
 
 
 class TestChildOrder:
