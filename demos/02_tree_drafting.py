@@ -13,15 +13,17 @@ cfg = M.ModelConfig(vocab_size=32, hidden_size=16, intermediate_size=24,
 target = M.TargetModel(cfg, seed=0)
 draft = M.DraftModel(cfg, target, variant="fspad", seed=1)
 
-# the tree grows from the newest committed token plus the feature at the
-# position just before it
+# the tree grows from the committed draft rows: row i fuses the target
+# feature at position i with the token after it, and the last row's token,
+# the newest committed one, is the root
 rng = np.random.default_rng(2)
-root_feature = rng.normal(size=cfg.hidden_size).astype(np.float32)
-root_token = 7
+features = rng.normal(size=(1, cfg.hidden_size)).astype(np.float32)
+tokens = [7]
 
 # the draft passes run against the draft's KV cache, so they are inference
-# forwards whatever the grad mode
-tree, passes = build_draft_tree(draft, root_feature, root_token,
+# forwards whatever the grad mode; the builder leaves that cache holding
+# exactly the committed rows
+tree, passes = build_draft_tree(draft, features, tokens,
                                 depth=3, expand_k=3, select_m=2, budget=6)
 
 print(f"built a tree of {len(tree) - 1} candidates "

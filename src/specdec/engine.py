@@ -207,17 +207,17 @@ def _timed_ms(forward, inputs, mask, cache):
     start = time.perf_counter()
     forward(*inputs, mask=mask, cache=cache)
     elapsed = time.perf_counter() - start
-    cache.truncate(length)
+    cache.keep(length)
     return 1000.0 * elapsed
 
 
 class ModelDrafter:
     """Standard drafter: feature-level draft model with its own KV cache.
 
-    The cache holds one row per fused input, built from the target's true
-    features for committed positions.  The committed rows it still lacks
-    ride along in the root's forward pass; the in-flight tree's rows are
-    the only speculative ones and are dropped after each proposal.
+    Each proposal hands ``build_draft_tree`` the committed draft rows,
+    target feature i fused with committed token i + 1, and the draft's
+    cache; the builder runs the rows the cache lacks and leaves it holding
+    exactly the committed rows.
 
     Trees are sized by ``latency``, the process's ``latency_table`` for
     the draft's target; ``depth``, ``expand_k``, ``select_m`` and
@@ -239,16 +239,10 @@ class ModelDrafter:
     def propose(self, committed, features, max_depth):
         if len(committed) < 2:  # no committed feature to draft from: the root alone
             return chain_tree(committed[-1:]), 0
-        root = len(committed) - 2  # the root row fuses features[root] with committed[-1]
-        have = len(self.cache)
-        sync = (features[have:root], committed[have + 1:root + 1]) if root > have else None
-        tree, passes = build_draft_tree(
-            self.draft, features[root], committed[-1],
+        return build_draft_tree(
+            self.draft, features, committed[1:],
             depth=min(self.depth, max_depth), expand_k=self.expand_k, select_m=self.select_m,
-            budget=self.budget, latency=self.latency, cache=self.cache, sync=sync)
-        # keep the committed rows up to the root row (a true committed pair)
-        self.cache.truncate(root + 1)
-        return tree, passes
+            budget=self.budget, latency=self.latency, cache=self.cache)
 
 
 class SpeculativeEngine:
@@ -275,7 +269,7 @@ class SpeculativeEngine:
         to vanilla decoding of the target at the same temperature/seed.
         """
         max_len = self.target.config.max_seq_len
-        prompt = _admit(prompt, temperature, self.target.config)
+        prompt = _admit(prompt, max_new, temperature, self.target.config)
         stop = min(len(prompt) + max_new, max_len)  # the committed length at which vanilla stops
 
         start = time.perf_counter()
@@ -309,7 +303,7 @@ class SpeculativeEngine:
                 result = verify_stochastic(tree, probs, step_rng(seed, step))
 
             rows = [0] + result.accepted_path
-            cache.keep(np.concatenate([np.arange(prefix), prefix + np.array(rows)]))
+            cache.keep(prefix, prefix + np.array(rows))
             features[prefix:prefix + len(rows)] = node_feats.data[rows]
             committed.extend(result.accepted_tokens)
             committed.append(result.bonus_token)
@@ -327,10 +321,12 @@ class SpeculativeEngine:
         return new_tokens, stats
 
 
-def _admit(prompt, temperature, config):
+def _admit(prompt, max_new, temperature, config):
     """The request checks both decoders share; returns the prompt as ints."""
     if not (temperature == 0.0 or 0.0 < temperature <= 2.0):
         raise ContractError(f"temperature must be 0 or in (0, 2], got {temperature}")
+    if not isinstance(max_new, numbers.Integral) or max_new < 0:
+        raise ContractError(f"max_new must be an integer >= 0, got {max_new!r}")
     prompt, vocab, max_len = list(prompt), config.vocab_size, config.max_seq_len
     bad = [t for t in prompt if not isinstance(t, numbers.Integral) or not 0 <= t < vocab]
     if bad:
@@ -358,7 +354,7 @@ def vanilla_generate(target, prompt, max_new, temperature=0.0, seed=0, eos_id=No
     (new_tokens, GenerationStats) with one target pass per emitted token.
     """
     max_len = target.config.max_seq_len
-    prompt = _admit(prompt, temperature, target.config)
+    prompt = _admit(prompt, max_new, temperature, target.config)
     start = time.perf_counter()
     stats = GenerationStats()
     out = []

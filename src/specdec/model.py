@@ -167,27 +167,26 @@ def rotary_rows(config, positions, dtype=np.float32):
 class KvCache:
     """Per-layer cached keys/values for one sequence (batch 1).
 
-    Each layer keeps its rows in buffers of shape (n_heads, capacity,
-    head_dim) that ``append`` fills in place and doubles when full;
-    ``keys[i]`` / ``values[i]`` are the filled (n_heads, length, head_dim)
-    views (None before the layer's first append).  A view taken before a
-    buffer grows goes stale.  The cache covers a committed prefix plus,
-    transiently, an uncommitted tree region that ``truncate`` or ``keep``
-    compacts away after verification.
+    Every layer's rows live in one (n_layers, 2, n_heads, capacity,
+    head_dim) array, keys at ``[:, 0]`` and values at ``[:, 1]``, that
+    ``append`` fills in place and reallocates at twice the rows when full;
+    ``keys[i]`` / ``values[i]`` are layer i's filled (n_heads, length,
+    head_dim) views (None before the first append).  A view taken before
+    the array grows goes stale.  The cache covers a committed prefix plus,
+    transiently, uncommitted tree rows, and ``keep`` is the one way rows
+    leave it.
     """
 
     def __init__(self, n_layers):
-        self._k = [None] * n_layers
-        self._v = [None] * n_layers
+        self._kv = None
         self._len = [0] * n_layers
 
-    @property
-    def keys(self):
-        return [None if b is None else b[:, :n] for b, n in zip(self._k, self._len)]
+    keys = property(lambda self: self._views(0))
+    values = property(lambda self: self._views(1))
 
-    @property
-    def values(self):
-        return [None if b is None else b[:, :n] for b, n in zip(self._v, self._len)]
+    def _views(self, kind):
+        kv = self._kv
+        return [None if kv is None else kv[i, kind, :, :n] for i, n in enumerate(self._len)]
 
     def __len__(self):
         return self._len[0]
@@ -197,45 +196,29 @@ class KvCache:
         rows; returns the layer's filled key and value views."""
         n = self._len[layer]
         end = n + k.shape[1]
-        for bufs, new in ((self._k, k), (self._v, v)):
-            _reserve(bufs, layer, n, end, new)[:, n:end] = new
+        if self._kv is None or end > self._kv.shape[3]:
+            grown = np.empty((len(self._len), 2, k.shape[0], max(end, 2 * n), k.shape[2]),
+                             dtype=k.dtype)
+            if self._kv is not None:
+                grown[:, :, :, :self._kv.shape[3]] = self._kv
+            self._kv = grown
+        kv = self._kv[layer]
+        kv[0, :, n:end], kv[1, :, n:end] = k, v
         self._len[layer] = end
-        return self._k[layer][:, :end], self._v[layer][:, :end]
+        return kv[0, :, :end], kv[1, :, :end]
 
-    def truncate(self, length):
-        self._len = [min(n, length) for n in self._len]
-
-    def keep(self, indices):
-        """Compact the cache down to the given positions, in order.
-
-        Rows before the first index that is not the identity stay where
-        they are; only the rows from there on move.
-        """
-        idx = np.asarray(indices, dtype=np.intp)
-        end = len(idx)
-        if end and (idx.min() < 0 or idx.max() >= min(self._len)):
-            raise ContractError(f"cache rows to keep fall outside [0, {min(self._len)})")
-        moved = np.flatnonzero(idx != np.arange(end))
-        if moved.size:
-            start, tail = moved[0], idx[moved[0]:]
-            for layer, n in enumerate(self._len):
-                for bufs in (self._k, self._v):
-                    rows = bufs[layer][:, tail]
-                    _reserve(bufs, layer, n, end, rows)[:, start:end] = rows
+    def keep(self, length, rows=()):
+        """Cut every layer to its first ``length`` rows, where they stay,
+        followed by the rows ``rows`` in order: one gather for all layers.
+        A cut never lengthens the cache."""
+        rows = np.asarray(rows, dtype=np.intp)
+        have, end = min(self._len), length + len(rows)
+        if not 0 <= length <= end <= have or ((rows < 0) | (rows >= have)).any():
+            raise ContractError(f"cannot cut a cache of {have} rows to its first {length} "
+                                f"and rows {rows.tolist()}")
+        if len(rows):
+            self._kv[:, :, :, length:end] = self._kv[:, :, :, rows]
         self._len = [end] * len(self._len)
-
-
-def _reserve(bufs, layer, n, end, like):
-    """``bufs[layer]`` with room for ``end`` rows and its first ``n`` rows
-    kept; a buffer too small is replaced by one of twice ``n`` rows (at
-    least ``end``) shaped and typed after ``like`` (n_heads, rows, head_dim)."""
-    buf = bufs[layer]
-    if buf is None or end > buf.shape[1]:
-        grown = np.empty((like.shape[0], max(end, 2 * n), like.shape[2]), dtype=like.dtype)
-        if n:
-            grown[:, :n] = buf[:, :n]
-        bufs[layer] = buf = grown
-    return buf
 
 
 class _Slab:
@@ -349,9 +332,9 @@ def _preamble(config, x, mask, cache):
     ``mask`` is a boolean (T, K) visibility over the last K keys, T <= K <=
     cached + T, in which row r must see its own key, column K - T + r;
     every earlier key is visible to every row.  It defaults to causal over
-    the T rows.  A row's position is the number of keys it sees, less one.
-    The bias, (T, K), is None when every row sees every key.  T must be at
-    least 1.
+    the T rows; a mask of any other dtype raises ``ContractError``.  A
+    row's position is the number of keys it sees, less one.  The bias,
+    (T, K), is None when every row sees every key.  T must be at least 1.
     """
     t = x.shape[1]
     if t == 0:
@@ -360,6 +343,8 @@ def _preamble(config, x, mask, cache):
     if mask is None:
         mask, positions = causal_mask(t), np.arange(past, past + t)
     else:
+        if mask.dtype != bool:
+            raise ContractError(f"attention mask must be boolean, got {mask.dtype}")
         if mask.ndim != 2 or mask.shape[0] != t or not t <= mask.shape[1] <= past + t:
             raise ContractError(f"attention mask shape {mask.shape} is not ({t}, K) for a K "
                                 f"in [{t}, {past + t}], the queries and the last keys")
@@ -489,13 +474,16 @@ class DraftModel:
     ``dual_path`` the layer's MLP emits 2x hidden and the halves are
     split around one shared residual: the logit half feeds the head, the
     other is the feature the next autoregressive step reads.  Otherwise
-    the head reads the returned feature itself.
+    the head reads the returned feature itself.  The config must be the
+    target's: a draft sized for another target raises ``ConfigError``.
     """
 
     def __init__(self, config, target, variant="fspad", seed=1):
         """Parameters drawn from ``seed``; all zeros for a None ``seed``."""
         if variant not in VARIANTS:
             raise ConfigError(f"unknown draft variant {variant!r}; expected one of {VARIANTS}")
+        if config != target.config:
+            raise ConfigError(f"draft config {config} is not its target's, {target.config}")
         rng = None if seed is None else np.random.default_rng(seed)
         self.config = config
         self.variant = variant

@@ -108,25 +108,24 @@ class LatencyTable:
 FIXED_BUDGET = LatencyTable([1], [1.0], [0.0])
 
 
-def build_draft_tree(draft, root_feature, root_token, *, depth, expand_k, select_m,
-                     budget, latency=FIXED_BUDGET, cache=None, sync=None):
+def build_draft_tree(draft, features, tokens, *, depth, expand_k, select_m, budget,
+                     latency=FIXED_BUDGET, cache=None):
     """Expand a candidate token tree from the last committed position.
 
-    ``root_feature`` is the target feature at the last position the
-    target has processed; ``root_token`` is the newest committed token
-    (not yet seen by the target).  The draft's own cache gains one row
-    per processed node; the caller truncates it back after use.
-
-    ``sync=(features, tokens)`` holds committed draft rows the cache still
-    lacks, the rows just before the root: they go through the root's own
-    causal forward pass and stay in the cache in front of the root row.
+    ``features`` (n, hidden) and ``tokens`` (n,) are the committed draft
+    rows: row i fuses the target feature ``features[i]`` with the token
+    ``tokens[i]`` that follows it, and the last row is the root's, whose
+    token is the newest committed one.  ``cache`` holds the draft's keys
+    for the first rows; the ones it lacks go through the root's causal
+    forward pass, the tree's rows follow, and the builder cuts the cache
+    back to exactly the n committed rows before it returns.
 
     Each node's children come in descending draft probability, then
     ascending token id: the order in which verification tries them.
 
     ``latency`` (a ``LatencyTable``) prices the draft passes and the verify
     pass; see the module docstring for the rule.  The root pass counts as
-    one row whatever sync rows ride along, since those are owed anyway.
+    one row whatever committed rows ride along, since those are owed anyway.
 
     Returns (tree, draft_forward_passes).
     """
@@ -138,13 +137,14 @@ def build_draft_tree(draft, root_feature, root_token, *, depth, expand_k, select
         raise ContractError("expand_k and select_m must be >= 1")
     if cache is None:
         cache = draft.new_cache()
+    have, committed = len(cache), len(features)
+    if not committed == len(tokens) > have:
+        raise ContractError(f"draft rows need as many features ({committed}) as tokens "
+                            f"({len(tokens)}), and more than the {have} the cache holds")
 
-    # the root pass: the sync rows and the root row, one causal forward
-    feats, ids = root_feature[None], [root_token]
-    if sync is not None:
-        feats, ids = np.concatenate([sync[0], feats]), list(sync[1]) + ids
-    logits, carried = draft.forward(feats[None], [ids], cache=cache)
-    prefix = len(cache) - 1   # the root's row and position; every key before it is committed
+    # the root pass: the rows the cache lacks, the root's last, one causal forward
+    logits, carried = draft.forward(features[None, have:], [tokens[have:]], cache=cache)
+    prefix, root_token = committed - 1, tokens[-1]   # every key before the root's is committed
     passes = 1
     counts = np.arange(budget + select_m + 2)
     verify_ms = np.interp(counts, latency.rows, latency.verify_ms)
@@ -161,7 +161,7 @@ def build_draft_tree(draft, root_feature, root_token, *, depth, expand_k, select
     # indexes its carry feature; sees[i, r] says key r is node i or an ancestor
     n_keys = 1 + (depth - 1) * select_m
     key_of = np.full(cap, -1)
-    carry = np.empty((n_keys, feats.shape[1]), dtype=np.float32)
+    carry = np.empty((n_keys, features.shape[1]), dtype=np.float32)
     sees = np.zeros((cap, n_keys), dtype=bool)
     tokens[0], parents[0], depths[0], cond[0], joint[0] = root_token, -1, 0, 1.0, 1.0
     key_of[0], sees[0, 0], carry[0] = 0, True, carried.data[0, -1]
@@ -201,6 +201,7 @@ def build_draft_tree(draft, root_feature, root_token, *, depth, expand_k, select
         carry[keys] = carried.data[0]
         dist = T.KERNELS.softmax(logits.data[0])
 
+    cache.keep(committed)
     # the root and the cut, in creation order, which is topological
     keep = np.concatenate([[0], np.sort(ranked[:size])])
     index_of = np.full(n, -1)

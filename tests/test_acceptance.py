@@ -164,9 +164,7 @@ class TestCriterion2StochasticLosslessness:
 
                 # advance one committed token (greedy) for the next position
                 res = E.verify_greedy(tree, logits.data)
-                keep = np.concatenate([np.arange(prefix),
-                                       prefix + np.array([0] + res.accepted_path, dtype=int)])
-                cache.keep(keep)
+                cache.keep(prefix, prefix + np.array([0] + res.accepted_path, dtype=int))
                 for idx in [0] + res.accepted_path:
                     features.append(node_feats.data[idx])
                 committed.extend(res.accepted_tokens + [res.bonus_token])
@@ -266,7 +264,7 @@ class TestCriterion4TreeOracle:
             feat = rng.normal(size=hidden).astype(np.float32)
             root_token = int(rng.integers(0, vocab))
             with T.no_grad():
-                tree, _ = build_draft_tree(draft, feat, root_token, depth=depth,
+                tree, _ = build_draft_tree(draft, feat[None], [root_token], depth=depth,
                                            expand_k=k, select_m=m, budget=budget)
                 pool = oracles.enumerate_beam_pool(draft, feat, root_token,
                                                    depth=depth, expand_k=k, select_m=m)

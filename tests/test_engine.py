@@ -222,9 +222,7 @@ class TestCommit:
                 mask = tree_attention_mask(tree, prefix)
                 logits, node_feats = target.forward(tree.tokens, mask=mask, cache=cache)
                 res = E.verify_greedy(tree, logits.data)
-                keep = np.concatenate([np.arange(prefix),
-                                       prefix + np.array([0] + res.accepted_path, dtype=int)])
-                cache.keep(keep)
+                cache.keep(prefix, prefix + np.array([0] + res.accepted_path, dtype=int))
                 for idx in [0] + res.accepted_path:
                     features.append(node_feats.data[idx])
                 committed.extend(res.accepted_tokens + [res.bonus_token])
@@ -404,6 +402,23 @@ class TestProgressAndCapacity:
         for decode in (engine.generate, lambda *a: E.vanilla_generate(target, *a)):
             with pytest.raises(ContractError, match="prompt id"):
                 decode(prompt, 3)
+
+    @pytest.mark.parametrize("max_new", [2.5, -3, "3", None, np.float64(3.0)])
+    def test_bad_max_new_is_refused_by_both(self, max_new):
+        cfg, target, draft = micro_stack(18)
+        engine = E.SpeculativeEngine(target, E.ModelDrafter(draft, depth=2, expand_k=2,
+                                                             select_m=2, budget=4))
+        for decode in (engine.generate, lambda *a: E.vanilla_generate(target, *a)):
+            with pytest.raises(ContractError, match="max_new"):
+                decode([1, 2, 3], max_new)
+
+    def test_zero_and_numpy_max_new_are_admitted_by_both(self):
+        cfg, target, draft = micro_stack(18)
+        engine = E.SpeculativeEngine(target, E.ModelDrafter(draft, depth=2, expand_k=2,
+                                                             select_m=2, budget=4))
+        for decode in (engine.generate, lambda *a: E.vanilla_generate(target, *a)):
+            assert decode([1, 2, 3], 0)[0] == []
+            assert len(decode([1, 2, 3], np.int64(4))[0]) == 4
 
     def test_numpy_integer_prompt_ids_decode_alike(self):
         cfg, target, _ = micro_stack(18)

@@ -1,0 +1,75 @@
+"""Recorded speculative decodes of the committed benchmark weights.
+
+``golden_decode.json`` holds, for 12 short task prompts at T=0 and 4 at
+T=0.8, the tokens, accepted lengths, tree sizes and pass counts of
+``SpeculativeEngine.generate`` with the ``fspad`` draft and trees sized
+by ``FIXED_BUDGET``.  Any change to the engine step, the builder or the
+KV caches that is meant to keep every token, tree and pass must leave
+them as recorded.  Regenerate (only for a change that is meant to move
+them) with
+
+    PYTHONPATH=src python tests/test_golden_decode.py
+"""
+
+import json
+import os
+import sys
+
+import numpy as np
+
+from specdec import corpus as C
+from specdec import engine as E
+from specdec import model as M
+from specdec import tokenizer as TK
+from specdec import tree as TR
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+WEIGHTS = os.path.join(os.path.dirname(HERE), "perfbench", "weights")
+GOLDEN = os.path.join(HERE, "golden_decode.json")
+PRESET = dict(depth=5, expand_k=8, select_m=8, budget=60)
+MAX_NEW = 24
+REQUESTS = [(task, i, 0.0) for i in range(4) for task in C.TASKS] + \
+           [(task, 4, 0.8) for task in C.TASKS] + [(C.TASKS[0], 5, 0.8)]
+
+
+def golden_decodes():
+    tok = TK.Tokenizer.load(os.path.join(WEIGHTS, "tokenizer.json"))
+    target = M.load_checkpoint(os.path.join(WEIGHTS, "target.fspd"))
+    draft = M.load_checkpoint(os.path.join(WEIGHTS, "draft_fspad.fspd"), target=target)
+    drafter = E.ModelDrafter(draft, **PRESET)
+    drafter.latency = TR.FIXED_BUDGET
+    engine = E.SpeculativeEngine(target, drafter)
+    prompts = {task: C.task_prompts(task, 6, seed=7) for task in C.TASKS}
+    out = {}
+    for task, i, temperature in REQUESTS:
+        ids = tok.encode(prompts[task][i], add_bos=True)
+        tokens, stats = engine.generate(ids, MAX_NEW, temperature=temperature, seed=100 + i,
+                                        eos_id=TK.EOS)
+        out[f"{task}/{i}/T={temperature}"] = {
+            "prompt": ids, "tokens": tokens, "accepted_lengths": stats.accepted_lengths,
+            "tree_sizes": stats.tree_sizes, "draft_passes": stats.draft_passes,
+            "target_passes": stats.target_passes}
+    return out
+
+
+def test_decodes_match_recorded():
+    with open(GOLDEN, encoding="utf-8") as f:
+        want = json.load(f)
+    got = golden_decodes()
+    assert sorted(got) == sorted(want)
+    for key in want:
+        assert got[key] == want[key], key
+    # the recording is not trivial: trees grew and drafts were accepted
+    assert max(max(d["accepted_lengths"]) for d in want.values()) >= 2
+    assert np.mean([n for d in want.values() for n in d["tree_sizes"]]) > 1
+
+
+def dump(decodes):
+    """One request per line, so that a diff names the requests that moved."""
+    lines = [f"{json.dumps(key)}: {json.dumps(decode, sort_keys=True)}"
+             for key, decode in sorted(decodes.items())]
+    return ("{\n" + ",\n".join(lines) + "\n}\n").encode("utf-8")
+
+
+if __name__ == "__main__":
+    sys.exit(M.write_atomic(GOLDEN, dump(golden_decodes())))

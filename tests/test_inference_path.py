@@ -323,7 +323,7 @@ class TestMaskOverTheLastKeys:
                 for widen in (False, True):
                     drafter = Widened(widen)
                     tree, _ = TR.build_draft_tree(
-                        drafter, feats[40], int(tokens[41]), depth=5, expand_k=8, select_m=8,
+                        drafter, feats[:41], tokens[1:42], depth=5, expand_k=8, select_m=8,
                         budget=60, cache=prefilled(draft, tokens[1:41], feats[None, :40]))
                     built.append((tree.to_json(), drafter.outputs))
             (narrow_tree, narrow_out), (wide_tree, wide_out) = built
@@ -436,11 +436,11 @@ class TestKvCache:
             for layer in range(2):
                 cache.append(layer, k, v)
             prefix = int(rng.integers(0, n + 1))
-            tail = rng.integers(0, n, size=int(rng.integers(0, 2 * n)))
+            tail = rng.integers(0, n, size=int(rng.integers(0, n - prefix + 1)))
             if trial % 2:
-                tail = rng.permutation(n)[: int(rng.integers(0, n + 1))]
+                tail = rng.permutation(n)[: int(rng.integers(0, n - prefix + 1))]
             idx = np.concatenate([np.arange(prefix), tail]).astype(int)
-            cache.keep(idx.tolist())
+            cache.keep(prefix, tail.tolist())
             assert len(cache) == len(idx)
             for layer in range(2):
                 np.testing.assert_array_equal(cache.keys[layer], k[:, idx])
@@ -451,20 +451,24 @@ class TestKvCache:
         cache.append(0, np.zeros((1, 4, 2)), np.zeros((1, 4, 2)))
         cache.append(0, np.zeros((1, 1, 2)), np.zeros((1, 1, 2)))  # capacity 8, length 5
         with pytest.raises(ContractError):
-            cache.keep([0, 5])
+            cache.keep(1, [5])
+        with pytest.raises(ContractError):
+            cache.keep(1, [-1])
 
-    def test_truncate_then_append(self):
+    def test_keep_then_append(self):
         rng = np.random.default_rng(12)
         cache = M.KvCache(1)
         k, v = self.chunk(rng, 9), self.chunk(rng, 9)
         cache.append(0, k, v)
-        cache.truncate(4)
+        cache.keep(4)
         assert len(cache) == 4
         k2, v2 = self.chunk(rng, 3), self.chunk(rng, 3)
         got_k, got_v = cache.append(0, k2, v2)
         np.testing.assert_array_equal(got_k, np.concatenate([k[:, :4], k2], axis=1))
         np.testing.assert_array_equal(cache.values[0], np.concatenate([v[:, :4], v2], axis=1))
-        cache.truncate(10)  # never lengthens
+        for length, rows in ((10, ()), (6, [0, 1]), (-1, [0])):  # never lengthens
+            with pytest.raises(ContractError):
+                cache.keep(length, rows)
         assert len(cache) == 7
 
     def test_empty_layers_read_as_none(self):

@@ -90,7 +90,7 @@ def default_preset_tree(draft, config):
     feature = np.random.default_rng(9).normal(size=config.hidden_size).astype(np.float32)
     kw = dict(depth=preset.depth, expand_k=preset.expand_k, select_m=preset.select_m,
               budget=preset.budget)
-    return (draft, feature, 5), kw
+    return (draft, feature[None], [5]), kw
 
 
 def test_build_draft_tree_default_preset(benchmark, stack):

@@ -143,6 +143,22 @@ class TestTargetForward:
             with pytest.raises(ContractError, match="row 1 does not see its own key"):
                 draft.forward(feats[:, 3:], [[4, 5]], mask=blind, cache=draft_cache)
 
+    @pytest.mark.parametrize("dtype", [np.int64, np.float32])
+    def test_a_mask_that_is_not_boolean_is_contract_error(self, dtype):
+        # an int 0/1 mask used as an index would pick rows, not mask keys
+        cfg = micro_config()
+        target = M.TargetModel(cfg, seed=7)
+        draft = M.DraftModel(cfg, target, seed=8)
+        mask = M.causal_mask(2).astype(dtype)
+        feats = np.zeros((1, 2, cfg.hidden_size), dtype=np.float32)
+        for call in (lambda: target.forward(np.array([4, 5]), mask=mask),
+                     lambda: target.forward(np.array([4, 5]), mask=mask,
+                                            cache=target.new_cache()),
+                     lambda: draft.forward(feats, [[4, 5]], mask=mask),
+                     lambda: draft.forward(feats, [[4, 5]], mask=mask, cache=draft.new_cache())):
+            with pytest.raises(ContractError, match="must be boolean"):
+                call()
+
     def test_empty_input_is_contract_error(self):
         cfg = micro_config()
         target = M.TargetModel(cfg, seed=7)
@@ -324,6 +340,19 @@ class TestDraftModel:
         target = M.TargetModel(cfg, seed=0)
         with pytest.raises(ConfigError):
             M.DraftModel(cfg, target, variant="bogus")
+
+    @pytest.mark.parametrize("theirs", [dict(max_seq_len=32), dict(vocab_size=40)])
+    def test_a_config_other_than_the_targets_is_refused(self, tmp_path, theirs):
+        # a draft sized for another target, in memory and on disk
+        mine = M.TargetModel(micro_config(n_layers=1), seed=0)
+        other = M.TargetModel(micro_config(n_layers=1, **theirs), seed=0)
+        with pytest.raises(ConfigError, match="is not its target's"):
+            M.DraftModel(other.config, mine, seed=1)
+        path = tmp_path / "d.fspd"
+        M.save_checkpoint(M.DraftModel(other.config, other, seed=1), path)
+        with pytest.raises(CheckpointFormatError, match="config is invalid") as info:
+            M.load_checkpoint(path, target=mine)
+        assert isinstance(info.value.__cause__, ConfigError)
 
 
 class TestEmbedding:

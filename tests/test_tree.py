@@ -43,7 +43,7 @@ class OneHotStubDraft:
 
 def build(draft, feat, token, **kw):
     with T.no_grad():
-        tree, _ = TR.build_draft_tree(draft, feat, token, **kw)
+        tree, _ = TR.build_draft_tree(draft, feat[None], [token], **kw)
     return tree
 
 
@@ -268,8 +268,8 @@ class TestTopK:
             self.check(probs, k)
 
 
-class TestSyncRows:
-    def test_sync_rows_share_the_root_pass(self):
+class TestCommittedRows:
+    def test_rows_the_cache_lacks_share_the_root_pass(self):
         cfg, _, draft = micro_draft(14)
         rng = np.random.default_rng(14)
         feats = rng.normal(size=(5, cfg.hidden_size)).astype(np.float32)
@@ -278,16 +278,45 @@ class TestSyncRows:
         with T.no_grad():
             apart = draft.new_cache()
             draft.forward(feats[None, :4], [toks[1:5]], cache=apart)
-            want, want_passes = TR.build_draft_tree(draft, feats[4], int(toks[5]), cache=apart, **kw)
+            want, want_passes = TR.build_draft_tree(draft, feats, toks[1:], cache=apart, **kw)
             folded = draft.new_cache()
-            got, passes = TR.build_draft_tree(draft, feats[4], int(toks[5]), cache=folded,
-                                              sync=(feats[:4], toks[1:5]), **kw)
+            got, passes = TR.build_draft_tree(draft, feats, toks[1:], cache=folded, **kw)
         assert passes == want_passes == 3
         np.testing.assert_array_equal(got.tokens, want.tokens)
         np.testing.assert_array_equal(got.parents, want.parents)
         np.testing.assert_allclose(got.joint_probs, want.joint_probs, rtol=1e-4)
         assert len(folded) == len(apart)
         np.testing.assert_allclose(folded.keys[0], apart.keys[0], atol=1e-5)
+
+    @pytest.mark.parametrize("cached", [0, 3, 4])
+    def test_the_cache_ends_at_the_committed_rows(self, cached):
+        cfg, _, draft = micro_draft(15)
+        rng = np.random.default_rng(15)
+        feats = rng.normal(size=(5, cfg.hidden_size)).astype(np.float32)
+        toks = rng.integers(0, cfg.vocab_size, size=5)
+        with T.no_grad():
+            want = draft.new_cache()
+            draft.forward(feats[None], [toks], cache=want)
+            cache = draft.new_cache()
+            if cached:
+                draft.forward(feats[None, :cached], [toks[:cached]], cache=cache)
+            _, passes = TR.build_draft_tree(draft, feats, toks, depth=3, expand_k=3, select_m=2,
+                                            budget=8, cache=cache)
+        assert passes == 3 and len(cache) == 5
+        np.testing.assert_allclose(cache.keys[0], want.keys[0], atol=1e-5)
+        np.testing.assert_allclose(cache.values[0], want.values[0], atol=1e-5)
+
+    def test_rows_that_do_not_pair_or_the_cache_covers_are_refused(self):
+        cfg, _, draft = micro_draft(16)
+        feats = np.zeros((3, cfg.hidden_size), dtype=np.float32)
+        kw = dict(depth=2, expand_k=2, select_m=2, budget=3)
+        full = draft.new_cache()
+        draft.forward(feats[None], [[1, 2, 3]], cache=full)
+        for features, tokens, cache in ((feats, [1, 2], None), (feats[:2], [1, 2, 3], None),
+                                        (feats[:0], [], None), (feats, [1, 2, 3], full)):
+            with pytest.raises(ContractError, match="as many features"):
+                TR.build_draft_tree(draft, features, tokens, cache=cache, **kw)
+        assert len(full) == 3
 
 
 def random_tree(rng, n_nodes, vocab=32):
