@@ -44,12 +44,11 @@ print("\nrow tokens:   ", tree.tokens.tolist())
 print("row positions:", (10 + tree.depths).tolist())
 print("row parents:  ", tree.parents.tolist())
 
-# the attention mask has one row per tree node, over the prefix keys and
-# the tree keys: each node sees the whole prefix, its ancestors, itself
-mask = tree_attention_mask(tree, prefix_len=2)
-print(f"\ntree-row visibility mask {mask.shape} (prefix keys | tree keys, # = allowed):")
+# the attention mask has one row per tree node, over the tree keys: each
+# node sees its ancestors and itself (every prefix key is visible anyway)
+mask = tree_attention_mask(tree)
+print(f"\ntree-row visibility mask {mask.shape} (tree keys, # = allowed):")
 for row in mask:
-    marks = "".join("#" if v else "." for v in row)
-    print(f"  {marks[:2]} | {marks[2:]}")
+    print("  " + "".join("#" if v else "." for v in row))
 
 print("\nserialized:", tree.to_json()[:100], "...")

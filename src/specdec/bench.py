@@ -12,7 +12,8 @@ also depend on the latency table that ``ModelDrafter`` measures once per
 process for the target (``engine.latency_table``), since that table sizes
 every tree; every variant of one grid shares it, so their ``tau`` differ by
 draft quality alone.  ``DraftingConfig`` holds the only defaults of the tree
-caps that ``ModelDrafter`` requires.
+caps that ``ModelDrafter`` requires.  The paper's ablation is the grid over
+every variant in ``VARIANTS``, judged by ``ordering_regressions``.
 """
 
 from __future__ import annotations
@@ -21,13 +22,14 @@ import csv
 import hashlib
 import io
 import json
+import os
 import time
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from .corpus import TASKS, task_prompts
-from .engine import ModelDrafter, SpeculativeEngine, vanilla_generate
+from .engine import ModelDrafter, SpeculativeEngine, temperature_ok, vanilla_generate
 from .errors import CapacityError, ConfigError, ContractError
 from .model import VARIANTS, ConfigSection, write_atomic
 from .tokenizer import EOS
@@ -46,14 +48,14 @@ class DraftingConfig(ConfigSection):
     select_m: int = 8
     budget: int = 60
 
-    def __post_init__(self):
-        for name in ("depth", "expand_k", "select_m", "budget"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"drafting.{name} must be >= 1, got {getattr(self, name)}")
+    minimums = dict.fromkeys(("depth", "expand_k", "select_m", "budget"), 1)
 
 
 @dataclass
 class BenchConfig(ConfigSection):
+    """The cells of a grid (tasks x temperatures) and the prompts of each:
+    ``warmup_prompts`` of the ``prompts_per_task`` run but are not counted."""
+
     section = "bench"
 
     tasks: tuple = TASKS
@@ -62,12 +64,25 @@ class BenchConfig(ConfigSection):
     max_new: int = 48
     warmup_prompts: int = 2
 
+    minimums = {"prompts_per_task": 1, "max_new": 1, "warmup_prompts": 0}
+
     def __post_init__(self):
+        super().__post_init__()
         self.tasks = tuple(self.tasks)
         self.temperatures = tuple(self.temperatures)
+        for name in ("tasks", "temperatures"):
+            if not getattr(self, name):
+                raise ConfigError(f"bench.{name} must be nonempty")
         for t in self.tasks:
             if t not in TASKS:
                 raise ConfigError(f"unknown bench task {t!r}; expected subset of {TASKS}")
+        for t in self.temperatures:
+            if not temperature_ok(t):
+                raise ConfigError(f"bench.temperatures holds {t!r}; each must be 0 "
+                                  f"or a number in (0, 2]")
+        if not self.warmup_prompts < self.prompts_per_task:
+            raise ConfigError(f"bench.warmup_prompts must be < bench.prompts_per_task "
+                              f"({self.prompts_per_task}), got {self.warmup_prompts}")
 
 
 def config_hash(config_dict):
@@ -168,8 +183,8 @@ def run_bench(target, drafts, tokenizer, drafting, bench, seed, out_path=None,
               progress=None):
     """Reports for every (task, temperature, variant) cell.
 
-    ``drafts`` maps variant name -> draft model.  Writes a JSON array to
-    ``out_path`` and a CSV next to it when given.
+    ``drafts`` maps variant name -> draft model.  ``write_reports`` writes
+    the report files named from ``out_path`` when given.
     """
     reports = []
     for task in bench.tasks:
@@ -184,43 +199,33 @@ def run_bench(target, drafts, tokenizer, drafting, bench, seed, out_path=None,
     return reports
 
 
-def run_ablation(target, drafts, tokenizer, drafting, bench, seed, out_path=None,
-                 progress=None):
-    """Variant grid plus the soft ordering comparison.
-
-    The full connector+dual-path configuration is expected to lead each
-    cell; a toy-scale regression is flagged in the summary, not failed.
-    Returns (reports, summary).
-    """
-    missing = [v for v in VARIANTS if v not in drafts]
-    if missing:
-        raise ConfigError(f"ablation needs all variants; missing {missing}")
-    ordered = {v: drafts[v] for v in VARIANTS}
-    reports = run_bench(target, ordered, tokenizer, drafting, bench, seed,
-                        out_path=out_path, progress=progress)
-    regressions = []
-    for task in bench.tasks:
-        for temperature in bench.temperatures:
-            cell = {r.variant: r.tau for r in reports
-                    if r.task == task and r.temperature == temperature}
-            for other in ("no_fs", "no_pad", "neither"):
-                if cell["fspad"] < cell[other] - 1e-12:
-                    regressions.append({"task": task, "temperature": temperature,
-                                        "variant": other, "tau_fspad": cell["fspad"],
-                                        "tau_other": cell[other]})
-    summary = {"cells": len(reports), "ordering_regressions": regressions}
-    return reports, summary
+def ordering_regressions(reports):
+    """Per (task, temperature) cell in report order, each variant after ``fspad`` in
+    ``VARIANTS`` whose tau beats ``fspad``'s by more than 1e-12 (reported, never failed)."""
+    cells = {}
+    for r in reports:
+        cells.setdefault((r.task, r.temperature), {})[r.variant] = r.tau
+    return [{"task": task, "temperature": temperature, "variant": other,
+             "tau_fspad": cell["fspad"], "tau_other": cell[other]}
+            for (task, temperature), cell in cells.items() for other in VARIANTS[1:]
+            if {"fspad", other} <= cell.keys() and cell["fspad"] < cell[other] - 1e-12]
 
 
 def write_reports(reports, out_path):
-    """JSON array at ``out_path`` plus a CSV sibling with the same rows."""
-    out_path = str(out_path)
+    """The rows at ``<stem>.json`` and ``<stem>.csv``, ``emit_plots`` at ``<stem>_plot.csv``
+    and, when every variant has a row, the ordering summary (returned, else None) at
+    ``<stem>_summary.json``, where ``<stem>`` is ``os.path.splitext(out_path)[0]``."""
+    stem = os.path.splitext(out_path)[0]
     rows = [r.to_dict() for r in reports]
-    write_atomic(out_path, (json.dumps(rows, indent=2, sort_keys=True) + "\n").encode("utf-8"))
-    csv_path = out_path.rsplit(".", 1)[0] + ".csv"
+    write_atomic(stem + ".json", (json.dumps(rows, indent=2, sort_keys=True) + "\n").encode())
     names = [f.name for f in fields(BenchReport)]
-    _write_csv(csv_path, [names] + [[row[n] for n in names] for row in rows])
-    return csv_path
+    _write_csv(stem + ".csv", [names] + [[row[n] for n in names] for row in rows])
+    emit_plots(reports, stem + "_plot.csv")
+    if not set(VARIANTS) <= {r.variant for r in reports}:
+        return None
+    summary = {"cells": len(reports), "ordering_regressions": ordering_regressions(reports)}
+    write_atomic(stem + "_summary.json", json.dumps(summary, indent=2, sort_keys=True).encode())
+    return summary
 
 
 def _write_csv(path, rows):
@@ -237,4 +242,3 @@ def emit_plots(reports, out_path):
     rows = sorted((r.task, r.temperature, r.variant, r.tau) for r in reports)
     _write_csv(out_path, [["task", "temperature", "variant", "tau"]] +
                [[*cell, f"{tau:.9f}"] for *cell, tau in rows])
-    return out_path

@@ -321,9 +321,16 @@ class SpeculativeEngine:
         return new_tokens, stats
 
 
+def temperature_ok(temperature):
+    """A decoding temperature is 0 (greedy) or a real number in (0, 2];
+    a bool is none, and neither is NaN."""
+    return (isinstance(temperature, numbers.Real) and not isinstance(temperature, bool)
+            and (temperature == 0.0 or 0.0 < temperature <= 2.0))
+
+
 def _admit(prompt, max_new, temperature, config):
     """The request checks both decoders share; returns the prompt as ints."""
-    if not (temperature == 0.0 or 0.0 < temperature <= 2.0):
+    if not temperature_ok(temperature):
         raise ContractError(f"temperature must be 0 or in (0, 2], got {temperature}")
     if not isinstance(max_new, numbers.Integral) or max_new < 0:
         raise ContractError(f"max_new must be an integer >= 0, got {max_new!r}")

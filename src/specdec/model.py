@@ -56,7 +56,17 @@ _ACCEPTED = {float: (int, float), tuple: (list, tuple)}
 class ConfigSection:
     """Mixin for config dataclasses named by ``section``: ``from_dict``
     rejects undeclared keys and values whose type is not the default's
-    (an int passes as a float and a list as a tuple; a bool is no int)."""
+    (an int passes as a float and a list as a tuple; a bool is no int),
+    and every construction checks each field named in ``minimums``
+    against its least value (as ``not value >= least``, so NaN fails)."""
+
+    minimums = {}
+
+    def __post_init__(self):
+        for name, least in self.minimums.items():
+            value = getattr(self, name)
+            if not value >= least:
+                raise ConfigError(f"{self.section}.{name} must be >= {least}, got {value!r}")
 
     @classmethod
     def from_dict(cls, d):
@@ -87,11 +97,11 @@ class ModelConfig(ConfigSection):
     max_seq_len: int = 512
     rope_base: float = 10000.0
 
+    minimums = dict.fromkeys(("vocab_size", "hidden_size", "intermediate_size", "n_layers",
+                              "n_heads", "max_seq_len"), 1)
+
     def __post_init__(self):
-        for name in ("vocab_size", "hidden_size", "intermediate_size", "n_layers", "n_heads",
-                     "max_seq_len"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"model.{name} must be >= 1, got {getattr(self, name)}")
+        super().__post_init__()
         if not self.rope_base > 0:
             raise ConfigError(f"model.rope_base must be > 0, got {self.rope_base}")
         if self.hidden_size % self.n_heads != 0:
@@ -638,7 +648,11 @@ def load_checkpoint(path, target=None):
         (count,) = struct.unpack("<I", _read_exact(f, 4, "tensor count"))
         for _ in range(count):
             (name_len,) = struct.unpack("<H", _read_exact(f, 2, "tensor name length"))
-            name = _read_exact(f, name_len, "tensor name").decode("utf-8")
+            raw_name = _read_exact(f, name_len, "tensor name")
+            try:
+                name = raw_name.decode("utf-8")
+            except UnicodeDecodeError as e:
+                raise CheckpointFormatError(f"tensor name {raw_name!r} is not UTF-8") from e
             if name not in expected:
                 raise CheckpointFormatError(f"unknown tensor name {name!r}")
             if name in seen:

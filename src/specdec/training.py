@@ -41,15 +41,13 @@ class TrainConfig(ConfigSection):
     corpus_docs: int = 4000
     corpus_seed: int = 1234
 
+    minimums = {"loss_weight": 0.0, "seed": 0, "corpus_seed": 0, "steps": 0, "draft_steps": 0,
+                "batch_size": 1, "seq_len": 1, "corpus_docs": 1}
+
     def __post_init__(self):
-        if self.loss_weight < 0:
-            raise ConfigError(f"loss_weight must be >= 0, got {self.loss_weight}")
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
-        for name, least in (("seed", 0), ("corpus_seed", 0), ("steps", 0), ("draft_steps", 0),
-                            ("batch_size", 1), ("seq_len", 1), ("corpus_docs", 1)):
-            if getattr(self, name) < least:
-                raise ConfigError(f"{name} must be >= {least}, got {getattr(self, name)}")
+        super().__post_init__()
+        if not self.learning_rate > 0:
+            raise ConfigError(f"training.learning_rate must be > 0, got {self.learning_rate!r}")
 
 
 class TokenizedCorpus:

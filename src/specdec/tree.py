@@ -257,22 +257,20 @@ def _top_k(probs, k):
     return top, probs[rows, top]
 
 
-def tree_attention_mask(tree, prefix_len=0):
-    """Visibility of the tree rows over the last prefix_len + len(tree) keys.
+def tree_attention_mask(tree):
+    """Visibility of the tree rows over the tree's own keys.
 
-    Shape (len(tree), prefix_len + len(tree)): each tree row sees the
-    whole prefix, its ancestors, and itself — nothing else.  Every earlier
-    key is visible to a forward anyway, so a verify passes the default.
+    Shape (len(tree), len(tree)): each tree row sees its ancestors and
+    itself — nothing else.  Every earlier key is visible to a forward
+    anyway, so the mask needs no column for the prefix.
     """
     n = len(tree)
-    allowed = np.zeros((n, prefix_len + n), dtype=bool)
-    allowed[:, :prefix_len] = True
-    sees = allowed[:, prefix_len:]
+    sees = np.zeros((n, n), dtype=bool)
     sees[0, 0] = True
     for level in range(1, tree.depths.max() + 1):
         nodes = np.flatnonzero(tree.depths == level)
         _inherit_visibility(sees, nodes, tree.parents, nodes)
-    return allowed
+    return sees
 
 
 def chain_tree(tokens):

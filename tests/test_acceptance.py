@@ -149,7 +149,7 @@ class TestCriterion2StochasticLosslessness:
                 tree, _ = drafter.propose(committed, np.array(features),
                                           cfg.max_seq_len - len(committed))
                 prefix = len(cache)
-                mask = tree_attention_mask(tree, prefix)
+                mask = oracles.mask_by_parent_walk(tree, prefix)[prefix:]
                 logits, node_feats = target.forward(tree.tokens, mask=mask, cache=cache)
                 probs = E._temperature_probs(logits.data, 1.0)
 
@@ -284,8 +284,8 @@ class TestCriterion5MaskOracle:
             n = int(rng.integers(1, 31))
             prefix = int(rng.integers(0, 8))
             tree = random_tree(rng, n)
-            got = tree_attention_mask(tree, prefix)
-            want = oracles.mask_by_parent_walk(tree, prefix)[prefix:]  # the tree rows
+            got = tree_attention_mask(tree)
+            want = oracles.mask_by_parent_walk(tree, prefix)[prefix:, prefix:]  # the tree block
             bad += int(not np.array_equal(got, want))
         _announce(5, "attention masks equal parent-chain oracle on 1000 trees",
                   bad == 0, f"{bad} mismatching trees")
@@ -338,8 +338,7 @@ class TestCriterion8AblationDirection:
         drafting = B.DraftingConfig(depth=5, expand_k=8, select_m=8, budget=60)
         bench = B.BenchConfig(tasks=C.TASKS, temperatures=(0.0,),
                               prompts_per_task=6, max_new=48, warmup_prompts=0)
-        reports, summary = B.run_ablation(toy.target, toy.drafts, toy.tokenizer,
-                                          drafting, bench, seed=81)
+        reports = B.run_bench(toy.target, toy.drafts, toy.tokenizer, drafting, bench, seed=81)
         wins = 0
         lines = []
         for task in C.TASKS:

@@ -12,6 +12,7 @@ from specdec import corpus as C
 from specdec import engine as E
 from specdec import model as M
 from specdec import tokenizer as TK
+from specdec import training as TR
 from specdec.errors import ConfigError, ContractError
 from test_model import fail_writes_halfway
 
@@ -184,26 +185,93 @@ class TestAblation:
     def test_grid_and_summary(self, micro_run, tmp_path):
         tok, target, drafts = micro_run
         out = tmp_path / "ablation.json"
-        reports, summary = B.run_ablation(
+        reports = B.run_bench(
             target, drafts, tok,
             B.DraftingConfig(depth=2, expand_k=2, select_m=2, budget=4),
             small_bench(), seed=8, out_path=out)
         assert len(reports) == 4
         variants = [r.variant for r in reports]
         assert variants == list(M.VARIANTS)
-        assert "ordering_regressions" in summary
-
-    def test_missing_variant_named(self, micro_run):
-        tok, target, drafts = micro_run
-        partial = {k: v for k, v in drafts.items() if k != "no_pad"}
-        with pytest.raises(ConfigError, match="no_pad"):
-            B.run_ablation(target, partial, tok, B.DraftingConfig(),
-                           small_bench(), seed=9)
+        summary = json.loads((tmp_path / "ablation_summary.json").read_text())
+        assert summary == {"cells": 4, "ordering_regressions": B.ordering_regressions(reports)}
 
     def test_prompts_identical_across_variants(self):
         a = C.task_prompts("arithmetic", 6, seed=11)
         b = C.task_prompts("arithmetic", 6, seed=11)
         assert a == b
+
+
+def fake_report(task, temperature, variant, tau):
+    return B.BenchReport(task=task, temperature=temperature, variant=variant, tau=tau,
+                         speedup=1.0, tokens_emitted=int(tau * 4), target_passes=4,
+                         draft_passes=8, wall_ms_vanilla=5.0, wall_ms_spec=5.0,
+                         prompts_run=2, prompts_skipped=0, seed=0, config_hash="abc")
+
+
+class TestOrderingRegressions:
+    def test_cells_in_report_order_and_variants_in_variant_order(self):
+        taus = {("copy", 0.0): (2.0, 2.0, 2.5, 3.0),
+                ("arithmetic", 0.0): (3.0, 2.0, 2.0, 2.0),
+                ("continuation", 0.0): (2.0, 2.25, 1.0, 2.0)}
+        reports = [fake_report(task, t, v, tau) for (task, t), row in taus.items()
+                   for v, tau in reversed(list(zip(M.VARIANTS, row)))]
+        assert B.ordering_regressions(reports) == [
+            {"task": "copy", "temperature": 0.0, "variant": "no_pad",
+             "tau_fspad": 2.0, "tau_other": 2.5},
+            {"task": "copy", "temperature": 0.0, "variant": "neither",
+             "tau_fspad": 2.0, "tau_other": 3.0},
+            {"task": "continuation", "temperature": 0.0, "variant": "no_fs",
+             "tau_fspad": 2.0, "tau_other": 2.25}]
+
+    def test_temperatures_kept_apart(self):
+        reports = [fake_report("copy", 0.0, "fspad", 2.0), fake_report("copy", 0.0, "no_fs", 1.5),
+                   fake_report("copy", 1.0, "fspad", 1.0), fake_report("copy", 1.0, "no_fs", 1.5)]
+        assert B.ordering_regressions(reports) == [
+            {"task": "copy", "temperature": 1.0, "variant": "no_fs",
+             "tau_fspad": 1.0, "tau_other": 1.5}]
+
+    def test_lead_within_the_slack_is_no_regression(self):
+        def regressions(lead):
+            return B.ordering_regressions([fake_report("copy", 0.0, "fspad", 2.0),
+                                           fake_report("copy", 0.0, "no_pad", 2.0 + lead)])
+        assert regressions(0.0) == regressions(5e-13) == []
+        assert [r["variant"] for r in regressions(4e-12)] == ["no_pad"]
+
+    def test_summary_only_when_every_variant_ran(self, tmp_path):
+        reports = [fake_report("copy", 0.0, v, 2.0) for v in M.VARIANTS]
+        assert B.write_reports(reports[:3], tmp_path / "r.json") is None
+        assert not (tmp_path / "r_summary.json").exists()
+        summary = B.write_reports(reports, tmp_path / "r.json")
+        assert summary == {"cells": 4, "ordering_regressions": []}
+        assert json.loads((tmp_path / "r_summary.json").read_text()) == summary
+
+
+class TestBenchConfig:
+    @pytest.mark.parametrize("bench,field", [
+        ({"temperatures": ["hot"]}, "temperatures"), ({"temperatures": [True]}, "temperatures"),
+        ({"temperatures": [2.5]}, "temperatures"), ({"temperatures": [-0.5]}, "temperatures"),
+        ({"temperatures": [float("nan")]}, "temperatures"), ({"temperatures": []}, "temperatures"),
+        ({"tasks": []}, "tasks"), ({"prompts_per_task": -3}, "prompts_per_task"),
+        ({"prompts_per_task": 0}, "prompts_per_task"), ({"max_new": 0}, "max_new"),
+        ({"warmup_prompts": -1}, "warmup_prompts"),
+        ({"warmup_prompts": 3, "prompts_per_task": 3}, "warmup_prompts")])
+    def test_setting_out_of_range_rejected(self, bench, field):
+        with pytest.raises(ConfigError, match=f"bench.{field}"):
+            B.BenchConfig.from_dict(bench)
+
+    def test_least_settings_accepted(self):
+        B.BenchConfig(tasks=["copy"], temperatures=[0, 2], prompts_per_task=1, max_new=1,
+                      warmup_prompts=0)
+
+    @pytest.mark.parametrize("section,field", [("model", "hidden_size"),
+                                               ("training", "loss_weight"),
+                                               ("training", "learning_rate"),
+                                               ("drafting", "budget")])
+    def test_nan_fails_every_lower_bound(self, section, field):
+        cls = {"model": M.ModelConfig, "training": TR.TrainConfig,
+               "drafting": B.DraftingConfig}[section]
+        with pytest.raises(ConfigError, match=f"{section}.{field}"):
+            cls(**{field: float("nan")})
 
 
 class TestEmitPlots:

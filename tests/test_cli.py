@@ -82,6 +82,31 @@ class TestEndToEnd:
         summary = json.loads(open(os.path.join(out, "ablation_report_summary.json")).read())
         assert "ordering_regressions" in summary
 
+    def test_ablate_is_bench_over_every_variant(self, tiny_run, tmp_path):
+        cfg, out = tiny_run
+        wall = ("speedup", "wall_ms_vanilla", "wall_ms_spec")
+
+        def written(stem):
+            rows = json.loads(open(stem + ".json").read())
+            return ([{k: v for k, v in r.items() if k not in wall} for r in rows],
+                    open(stem + "_summary.json").read())
+
+        bench = str(tmp_path / "bench")
+        assert cli.main(["bench", "--config", cfg, "--out", out, "--seed", "0",
+                         "--variants", "fspad,no_fs,no_pad,neither", "--report", bench]) == 0
+        assert cli.main(["ablate", "--config", cfg, "--out", out, "--seed", "0",
+                         "--report", str(tmp_path / "ablate.json")]) == 0
+        assert written(bench) == written(str(tmp_path / "ablate"))
+
+    def test_report_files_share_one_stem(self, tiny_run, tmp_path):
+        cfg, out = tiny_run
+        (tmp_path / "res.d").mkdir()
+        assert cli.main(["ablate", "--config", cfg, "--out", out, "--seed", "0",
+                         "--report", str(tmp_path / "res.d" / "report")]) == 0
+        assert os.listdir(tmp_path) == ["res.d"]
+        assert sorted(os.listdir(tmp_path / "res.d")) == [
+            "report.csv", "report.json", "report_plot.csv", "report_summary.json"]
+
     def test_selftest(self):
         assert cli.main(["selftest"]) == 0
 
@@ -147,6 +172,20 @@ class TestExitCodes:
         assert cli.main(["generate", "--out", str(tmp_path / "none"), "--prompt", "x",
                          flag, "0"]) == cli.EXIT_CONFIG
 
+    @pytest.mark.parametrize("command", ["bench", "ablate"])
+    @pytest.mark.parametrize("bench,flags", [({"temperatures": ["hot"]}, []),
+                                             ({"tasks": []}, []),
+                                             ({"prompts_per_task": -3}, []),
+                                             ({}, ["--temperature", "3"]),
+                                             ({}, ["--temperature", "nan"])])
+    def test_bench_setting_out_of_range_is_config_error_before_loading(self, tmp_path, command,
+                                                                        bench, flags):
+        # exit 2 with no run on disk: the settings are checked before any model loads
+        cfg = tmp_path / "bench.json"
+        cfg.write_text(json.dumps({"bench": {**TINY_CONFIG["bench"], **bench}}))
+        assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "none")]
+                        + flags) == cli.EXIT_CONFIG
+
     def test_unknown_section_is_config_error(self, tmp_path):
         cfg = tmp_path / "bad2.json"
         cfg.write_text(json.dumps({"modle": {}}))
@@ -199,6 +238,18 @@ class TestExitCodes:
         shutil.copytree(out, clone)
         raw = (clone / "target.fspd").read_bytes()
         (clone / "target.fspd").write_bytes(raw[:40])
+        assert cli.main(["generate", "--out", str(clone), "--prompt", "x"]) == cli.EXIT_IO
+
+    def test_tensor_name_not_utf8_is_io_error(self, tiny_run, tmp_path):
+        import shutil
+        import struct
+        _, out = tiny_run
+        clone = tmp_path / "badname"
+        shutil.copytree(out, clone)
+        raw = bytearray((clone / "target.fspd").read_bytes())
+        (json_len,) = struct.unpack("<I", raw[8:12])
+        raw[12 + json_len + 4 + 2] = 0xff   # after the tensor count and the name length
+        (clone / "target.fspd").write_bytes(bytes(raw))
         assert cli.main(["generate", "--out", str(clone), "--prompt", "x"]) == cli.EXIT_IO
 
     def test_bad_stored_config_is_io_error(self, tiny_run, tmp_path):

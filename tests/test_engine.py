@@ -214,12 +214,11 @@ class TestCommit:
             _, feats = target.forward(np.array(committed[:-1]), cache=cache)
             features = [feats.data[i] for i in range(len(committed) - 1)]
             drafter.reset()
-            from specdec.tree import tree_attention_mask
             for _ in range(4):
                 tree, _ = drafter.propose(committed, np.array(features),
                                           cfg.max_seq_len - len(committed))
                 prefix = len(cache)
-                mask = tree_attention_mask(tree, prefix)
+                mask = oracles.mask_by_parent_walk(tree, prefix)[prefix:]
                 logits, node_feats = target.forward(tree.tokens, mask=mask, cache=cache)
                 res = E.verify_greedy(tree, logits.data)
                 cache.keep(prefix, prefix + np.array([0] + res.accepted_path, dtype=int))

@@ -51,6 +51,12 @@ def small_tree():
                      [1.0, 0.6, 0.3, 0.3])
 
 
+def wide_mask(tree, prefix):
+    """The tree rows over the prefix keys too, every one visible: the
+    full-width mask, from the parent-walk oracle."""
+    return oracles.mask_by_parent_walk(tree, prefix)[prefix:]
+
+
 class TestSameValuesOnBothArms:
     def test_target_batch(self):
         target = M.TargetModel(micro_config(), seed=1)
@@ -70,7 +76,7 @@ class TestSameValuesOnBothArms:
         def run():
             cache = target.new_cache()
             prefill = target.forward(prefix, cache=cache)
-            verify = target.forward(tree.tokens, mask=tree_attention_mask(tree, len(prefix)),
+            verify = target.forward(tree.tokens, mask=wide_mask(tree, len(prefix)),
                                     cache=cache)
             return prefill + verify, cache.keys[1].copy()
 
@@ -143,7 +149,7 @@ class TestStackedQkvEqualsThreeMatmuls:
                 if rows == 1:
                     out += target.forward(tree.tokens, cache=cache)
                 else:
-                    out += target.forward(tree.tokens, mask=tree_attention_mask(tree, prefix),
+                    out += target.forward(tree.tokens, mask=wide_mask(tree, prefix),
                                           cache=cache)
             return [t.data for t in out] + [cache.keys[-1], cache.values[-1]]
 
@@ -174,7 +180,7 @@ class TestStackedQkvEqualsThreeMatmuls:
                 outs = [draft.forward(feats[:, :-1], tokens[None, 1:], cache=cache),
                         draft.forward(feats[:, -1:], tokens[None, -1:], cache=cache),
                         draft.forward(np.repeat(feats[:, -1:], 7, axis=1), tree.tokens[None],
-                                      mask=tree_attention_mask(tree, 41), cache=cache)]
+                                      mask=wide_mask(tree, 41), cache=cache)]
             return [t.data for out in outs for t in out]
 
         assert_same_as_three_matmuls(monkeypatch, run)
@@ -203,7 +209,7 @@ class TestStackedQkvEqualsThreeMatmuls:
         assert M._preamble(target.config, row, None, cache)[1] is None
         tree = random_tree(np.random.default_rng(7), 7, vocab=512)
         _, bias = M._preamble(target.config, np.zeros((1, 7, 128), np.float32),
-                              tree_attention_mask(tree, 40), cache)
+                              wide_mask(tree, 40), cache)
         assert bias.shape == (7, 47) and (bias == M.MASK_OFF).any()
         _, narrow = M._preamble(target.config, np.zeros((1, 7, 128), np.float32),
                                 tree_attention_mask(tree), cache)
@@ -270,7 +276,7 @@ class TestMaskOverTheLastKeys:
         rng = np.random.default_rng(prefix + rows)
         tokens = rng.integers(0, 512, size=prefix + 1)
         tree = random_tree(rng, rows, vocab=512)
-        narrow, wide = tree_attention_mask(tree), tree_attention_mask(tree, prefix)
+        narrow, wide = tree_attention_mask(tree), wide_mask(tree, prefix)
         with T.no_grad():
             _, feats = target.forward(tokens)
         feats = feats.data[None]
@@ -363,7 +369,7 @@ class TestPositionsFollowTheMask:
             cache.append(0, *[np.zeros((1, prefix, 1), np.float32)] * 2)
             rows = np.zeros((1, len(tree), cfg.hidden_size), np.float32)
             want = M.rotary_rows(cfg, prefix + tree.depths)
-            for mask in (tree_attention_mask(tree), tree_attention_mask(tree, prefix)):
+            for mask in (tree_attention_mask(tree), wide_mask(tree, prefix)):
                 rope, _ = M._preamble(cfg, rows, mask, cache)
                 np.testing.assert_array_equal(rope[0], want[0])
                 np.testing.assert_array_equal(rope[1], want[1])

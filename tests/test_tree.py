@@ -341,27 +341,27 @@ def random_tree(rng, n_nodes, vocab=32):
 class TestAttentionMask:
     def test_chain_is_lower_triangular(self):
         tree = TR.chain_tree([1, 2, 3])
-        mask = TR.tree_attention_mask(tree, prefix_len=0)
+        mask = TR.tree_attention_mask(tree)
         np.testing.assert_array_equal(mask, np.tril(np.ones((3, 3), dtype=bool)))
 
     def test_siblings_invisible(self):
         tree = TR.TokenTree([1, 2, 3], [-1, 0, 0], [0, 1, 1])
-        mask = TR.tree_attention_mask(tree, prefix_len=2)
-        assert mask.shape == (3, 5)             # tree rows only, over prefix + tree keys
+        mask = TR.tree_attention_mask(tree)
+        assert mask.shape == (3, 3)             # tree rows only, over the tree keys
         for row in (1, 2):
-            assert mask[row, :2].all()          # full prefix
-            assert mask[row, 2]                 # root
-            assert mask[row, 2 + row]           # self
-        assert not mask[1, 4] and not mask[2, 3]
+            assert mask[row, 0]                 # root
+            assert mask[row, row]               # self
+        assert not mask[1, 2] and not mask[2, 1]
 
     def test_matches_parent_walk_oracle(self):
+        # the oracle's tree block at any prefix length is the mask
         rng = np.random.default_rng(7)
         for _ in range(50):
             n = int(rng.integers(1, 13))
             prefix = int(rng.integers(0, 5))
             tree = random_tree(rng, n)
-            got = TR.tree_attention_mask(tree, prefix)
-            want = oracles.mask_by_parent_walk(tree, prefix)[prefix:]
+            got = TR.tree_attention_mask(tree)
+            want = oracles.mask_by_parent_walk(tree, prefix)[prefix:, prefix:]
             np.testing.assert_array_equal(got, want)
 
     def test_non_topological_order_rejected(self):
