@@ -5,13 +5,17 @@ twice, vanilla and speculative, the arm that runs first alternating from
 prompt to prompt, and reports tau (emitted tokens per target forward pass)
 and the wall-clock speedup ratio.  At temperature 0 the two arms must
 emit identical token sequences; the harness enforces that, so speedup
-always compares equal work.  Within one process, reports
-are deterministic functions of the config and seed except for
-wall-time-derived fields.  ``tau``, ``draft_passes`` and ``target_passes``
-also depend on the latency table that ``ModelDrafter`` measures once per
-process for the target (``engine.latency_table``), since that table sizes
-every tree; every variant of one grid shares it, so their ``tau`` differ by
-draft quality alone.  ``DraftingConfig`` holds the only defaults of the tree
+always compares equal work.  At temperature > 0 they emit the same tokens
+too, from one uniform per token, except where a uniform falls in the
+float32 rounding gap between the verify forward's distribution and
+vanilla's; that is not asserted, since the law is exact either way.
+Within one process, reports are deterministic functions of the config
+and seed except for wall-time-derived fields.  ``tau``, ``draft_passes``
+and ``target_passes`` also depend on the latency table that
+``ModelDrafter`` measures once per process for the target
+(``engine.latency_table``), since that table sizes every tree; every
+variant of one grid shares it, so their ``tau`` differ by draft quality
+alone.  ``DraftingConfig`` holds the only defaults of the tree
 caps that ``ModelDrafter`` requires.  The paper's ablation is the grid over
 every variant in ``VARIANTS``, judged by ``ordering_regressions``.
 """
@@ -80,6 +84,10 @@ class BenchConfig(ConfigSection):
             if not temperature_ok(t):
                 raise ConfigError(f"bench.temperatures holds {t!r}; each must be 0 "
                                   f"or a number in (0, 2]")
+        for name in ("tasks", "temperatures"):
+            values = getattr(self, name)
+            if len(set(values)) < len(values):  # 0 and 0.0 are one temperature
+                raise ConfigError(f"bench.{name} repeats a value: {list(values)}")
         if not self.warmup_prompts < self.prompts_per_task:
             raise ConfigError(f"bench.warmup_prompts must be < bench.prompts_per_task "
                               f"({self.prompts_per_task}), got {self.warmup_prompts}")
@@ -179,13 +187,9 @@ def bench_cell(target, draft, tokenizer, task, temperature, drafting, bench, see
                                  "bench": asdict(bench), "seed": seed}))
 
 
-def run_bench(target, drafts, tokenizer, drafting, bench, seed, out_path=None,
-              progress=None):
-    """Reports for every (task, temperature, variant) cell.
-
-    ``drafts`` maps variant name -> draft model.  ``write_reports`` writes
-    the report files named from ``out_path`` when given.
-    """
+def run_bench(target, drafts, tokenizer, drafting, bench, seed, progress=None):
+    """Reports for every (task, temperature, variant) cell; ``drafts`` maps
+    variant name -> draft model."""
     reports = []
     for task in bench.tasks:
         for temperature in bench.temperatures:
@@ -194,8 +198,6 @@ def run_bench(target, drafts, tokenizer, drafting, bench, seed, out_path=None,
                     progress(f"bench {task} T={temperature} {variant}")
                 reports.append(bench_cell(target, draft, tokenizer, task, temperature,
                                           drafting, bench, seed, variant=variant))
-    if out_path:
-        write_reports(reports, out_path)
     return reports
 
 

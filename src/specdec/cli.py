@@ -160,6 +160,10 @@ def cmd_train_draft(args):
 
 def cmd_generate(args):
     cfg = load_config(args)
+    if not E.temperature_ok(args.temperature):
+        raise ConfigError(f"--temperature must be 0 or in (0, 2], got {args.temperature}")
+    if args.max_new < 0:
+        raise ConfigError(f"--max-new must be an integer >= 0, got {args.max_new}")
     tok, target = _load_run(args.out)
     drafts = _load_drafts(args.out, target, [args.variant])
     drafter = E.ModelDrafter(drafts[args.variant], **dataclasses.asdict(cfg.drafting))

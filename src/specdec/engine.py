@@ -7,23 +7,25 @@ walks the tree, and the caches are compacted to the accepted path.
 Every step emits at least one token (the bonus), so generation always
 makes progress.
 
-Both acceptance rules try a node's children in index order, the order
-the drafter created them in.  Greedy acceptance takes the child matching
-the target argmax at each position (ties to the smallest token id,
-matching vanilla decoding).  Stochastic acceptance preserves the target
-distribution exactly for a tree whose candidates are a deterministic
-function of the prefix: a child is accepted with the probability the
-residual target distribution assigns to its token, a rejected token's
-mass is removed entirely before renormalizing, and the bonus token is
-drawn from the final residual.  Under this rule the marginal law of
-every emitted token equals vanilla sampling from the target.
+Acceptance is one rule at every temperature.  At each node of the walk
+the target names one token: its argmax at temperature 0 (ties to the
+smallest token id), and otherwise one inverse-CDF draw from its
+temperature distribution.  The walk moves to the first child, in index
+order, that carries that token, and ends with it as the bonus token when
+no child does.  Each emitted token is therefore the token vanilla
+decoding names at that position from the same uniform (up to float32
+rounding between the verify forward's distribution and vanilla's), and
+for a tree built without the target's draws every emitted token has
+exactly the target's law (speculative sampling with a point-mass draft).
 
-Randomness is replayable: each generation step uses its own stream,
-derived as SeedSequence(seed).spawn-style child keyed by the step index.
+Randomness is replayable and shared by both decoders: emitted token t
+(counted from the end of the prompt) takes the first ``random()`` of
+``step_rng(seed, t)``, whatever the tree or the latency table.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import numbers
 import time
@@ -31,14 +33,21 @@ import time
 import numpy as np
 
 from . import tensor as T
-from .errors import CapacityError, ContractError, NumericError
+from .errors import CapacityError, ContractError
 from .model import DraftModel
 from .tree import LatencyTable, build_draft_tree, chain_tree, tree_attention_mask
 
 
 def step_rng(seed, step):
-    """Independent generator for one generation step (documented stream rule)."""
+    """Independent generator for emitted token ``step`` (documented stream rule)."""
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(step,)))
+
+
+def draws(seed, first=0):
+    """The uniforms of emitted tokens t = first, first + 1, ...: the first
+    ``random()`` of ``step_rng(seed, t)`` each."""
+    for t in itertools.count(first):
+        yield step_rng(seed, t).random()
 
 
 class VerifyResult:
@@ -63,61 +72,41 @@ def verify_greedy(tree, node_logits):
     ``node_logits[i]`` are the target logits at tree node i's position;
     row 0 is the committed-context (root) row.
     """
-    tokens = tree.tokens.tolist()
-
-    def judge(node, children):
-        want = int(np.argmax(node_logits[node]))
-        for child in children:
-            if tokens[child] == want:
-                return child, want
-        return None, want
-
-    return _walk(tree, judge)
+    return _walk(tree, lambda node: int(np.argmax(node_logits[node])))
 
 
-def verify_stochastic(tree, node_probs, rng):
-    """Distribution-preserving acceptance for a deterministic candidate tree.
+def verify_stochastic(tree, node_probs, uniforms):
+    """Distribution-preserving acceptance for a tree built without the
+    target's draws.
 
     ``node_probs[i]`` is the (temperature-scaled) target distribution at
-    node i's position.  Children are tried in index order; the
-    emitted-token law does not depend on that order.
+    node i's position, and ``uniforms`` yields one uniform in [0, 1) per
+    emitted token (``draws``): each names the token by an inverse-CDF draw.
     """
-    tokens, cond = tree.tokens.tolist(), tree.cond_probs.tolist()
-
-    def judge(node, children):
-        p = node_probs[node].astype(np.float64)
-        for child in children:
-            tok = tokens[child]
-            if cond[child] <= 0.0:
-                raise ContractError(f"drafted child token {tok} carries zero draft probability")
-            if rng.random() < p[tok]:
-                return child, tok
-            p[tok] = 0.0
-            total = p.sum()
-            if total <= 0.0:
-                raise NumericError("residual distribution vanished during verification")
-            p /= total
-        return None, _sample(p, rng)
-
-    return _walk(tree, judge)
+    zero = np.flatnonzero(tree.cond_probs[1:] <= 0.0)
+    if zero.size:
+        raise ContractError(f"drafted child token {tree.tokens[zero[0] + 1]} carries zero "
+                            f"draft probability")
+    return _walk(tree, lambda node: _sample(node_probs[node], next(uniforms)))
 
 
-def _walk(tree, judge):
+def _walk(tree, pick):
     """The acceptance walk both verifiers share.
 
-    From the root, ``judge(node, children)`` gets the node's children in
-    index order and returns (accepted child, its token) or (None, bonus
-    token), which ends the walk.
+    From the root, ``pick(node)`` names the target's token at ``node``; the
+    walk moves to the first child (in index order) that carries it, or ends
+    with it as the bonus token.
     """
     path, tokens = [], []
     node = 0
     while True:
-        child, token = judge(node, np.flatnonzero(tree.parents == node).tolist())
-        if child is None:
+        token = pick(node)
+        children = np.flatnonzero((tree.parents == node) & (tree.tokens == token))
+        if not children.size:
             return VerifyResult(path, tokens, token)
-        path.append(child)
+        node = int(children[0])
+        path.append(node)
         tokens.append(token)
-        node = child
 
 
 class GenerationStats:
@@ -266,7 +255,8 @@ class SpeculativeEngine:
         """Speculatively decode up to ``max_new`` tokens after ``prompt``.
 
         Returns (new_tokens, GenerationStats).  Output is token-identical
-        to vanilla decoding of the target at the same temperature/seed.
+        to vanilla decoding of the target at the same temperature and seed
+        (at temperature > 0, up to float32 rounding at a CDF boundary).
         """
         max_len = self.target.config.max_seq_len
         prompt = _admit(prompt, max_new, temperature, self.target.config)
@@ -282,7 +272,6 @@ class SpeculativeEngine:
             features[:len(prompt) - 1] = feats.data
         self.drafter.reset()
 
-        step = 0
         while len(committed) < stop:
             prefix = len(cache)  # == len(committed) - 1
             max_depth = max_len - len(committed)
@@ -300,7 +289,7 @@ class SpeculativeEngine:
                 result = verify_greedy(tree, logits.data)
             else:
                 probs = _temperature_probs(logits.data, temperature)
-                result = verify_stochastic(tree, probs, step_rng(seed, step))
+                result = verify_stochastic(tree, probs, draws(seed, len(committed) - len(prompt)))
 
             rows = [0] + result.accepted_path
             cache.keep(prefix, prefix + np.array(rows))
@@ -309,7 +298,6 @@ class SpeculativeEngine:
             committed.append(result.bonus_token)
 
             stats.record_step(len(result.accepted_tokens), len(tree), passes)
-            step += 1
             if eos_id is not None and eos_id in committed[-len(rows):]:  # the emitted tokens
                 del committed[committed.index(eos_id, len(committed) - len(rows)) + 1:]
                 break
@@ -332,10 +320,10 @@ def _admit(prompt, max_new, temperature, config):
     """The request checks both decoders share; returns the prompt as ints."""
     if not temperature_ok(temperature):
         raise ContractError(f"temperature must be 0 or in (0, 2], got {temperature}")
-    if not isinstance(max_new, numbers.Integral) or max_new < 0:
+    if not _count_ok(max_new) or max_new < 0:
         raise ContractError(f"max_new must be an integer >= 0, got {max_new!r}")
     prompt, vocab, max_len = list(prompt), config.vocab_size, config.max_seq_len
-    bad = [t for t in prompt if not isinstance(t, numbers.Integral) or not 0 <= t < vocab]
+    bad = [t for t in prompt if not _count_ok(t) or not 0 <= t < vocab]
     if bad:
         raise ContractError(f"prompt id {bad[0]!r} is not an integer in [0, {vocab})")
     if not prompt:
@@ -345,20 +333,26 @@ def _admit(prompt, max_new, temperature, config):
     return [int(t) for t in prompt]
 
 
+def _count_ok(value):
+    """An integer that is not a bool: a token id or a count."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _temperature_probs(logits, temperature):
     return T.KERNELS.softmax(logits.astype(np.float64) / temperature)
 
 
-def _sample(p, rng):
-    """Inverse-CDF draw of one token from distribution ``p``, using one ``rng.random()``."""
-    return min(int(np.searchsorted(np.cumsum(p), rng.random(), side="right")), len(p) - 1)
+def _sample(p, u):
+    """Inverse-CDF draw of one token from distribution ``p`` at the uniform ``u``."""
+    return min(int(np.searchsorted(np.cumsum(p), u, side="right")), len(p) - 1)
 
 
 def vanilla_generate(target, prompt, max_new, temperature=0.0, seed=0, eos_id=None):
     """Plain autoregressive decoding; the reference arm for losslessness.
 
-    Uses the same per-step stream rule as the speculative path.  Returns
-    (new_tokens, GenerationStats) with one target pass per emitted token.
+    Token t takes its uniform from ``draws(seed)``, as the speculative
+    path does.  Returns (new_tokens, GenerationStats) with one target pass
+    per emitted token.
     """
     max_len = target.config.max_seq_len
     prompt = _admit(prompt, max_new, temperature, target.config)
@@ -368,11 +362,12 @@ def vanilla_generate(target, prompt, max_new, temperature=0.0, seed=0, eos_id=No
     cache = target.new_cache()
     logits, _ = target.forward(np.array(prompt), cache=cache)
     row = logits.data[-1]
-    for step in range(max_new):
+    uniforms = draws(seed)
+    for _ in range(max_new):
         if temperature == 0.0:
             tok = int(np.argmax(row))
         else:
-            tok = _sample(_temperature_probs(row[None], temperature)[0], step_rng(seed, step))
+            tok = _sample(_temperature_probs(row[None], temperature)[0], next(uniforms))
         out.append(tok)
         stats.emitted += 1
         stats.target_passes += 1

@@ -59,7 +59,8 @@ class Tokenizer:
         for rank, pair in enumerate(merges or []):
             new_id = N_BYTES + N_SPECIALS + rank
             if not (isinstance(pair, (list, tuple)) and len(pair) == 2
-                    and all(isinstance(i, int) and 0 <= i < new_id for i in pair)):
+                    and all(isinstance(i, int) and not isinstance(i, bool) and 0 <= i < new_id
+                            for i in pair)):
                 raise ContractError(
                     f"tokenizer merge {rank} is {pair!r}, not a pair of ids below {new_id}")
             a, b = pair

@@ -52,9 +52,10 @@ from .errors import ContractError
 class TokenTree:
     """Root plus candidate nodes as parallel arrays, parents before children.
 
-    Verification tries a node's children in index order.  ``parents`` is
-    -1 at the root; ``cond_probs`` and ``joint_probs`` (draft probabilities,
-    float64, one per node) default to 1.
+    Verification follows a node's first child, in index order, that
+    carries the target's token.  ``parents`` is -1 at the root;
+    ``cond_probs`` and ``joint_probs`` (draft probabilities, float64, one
+    per node) default to 1.
     """
 
     def __init__(self, tokens, parents, depths, cond_probs=None, joint_probs=None):
@@ -121,7 +122,7 @@ def build_draft_tree(draft, features, tokens, *, depth, expand_k, select_m, budg
     back to exactly the n committed rows before it returns.
 
     Each node's children come in descending draft probability, then
-    ascending token id: the order in which verification tries them.
+    ascending token id: the order in which verification searches them.
 
     ``latency`` (a ``LatencyTable``) prices the draft passes and the verify
     pass; see the module docstring for the rule.  The root pass counts as

@@ -156,7 +156,7 @@ class TestCriterion2StochasticLosslessness:
                 rng = E.step_rng(404, pos)
                 counts = np.zeros(cfg.vocab_size)
                 for _ in range(200_000):
-                    res = E.verify_stochastic(tree, probs, rng)
+                    res = E.verify_stochastic(tree, probs, iter(rng.random, None))
                     first = res.accepted_tokens[0] if res.accepted_tokens else res.bonus_token
                     counts[first] += 1
                 tv = 0.5 * np.abs(counts / 200_000 - probs[0]).sum()

@@ -119,8 +119,8 @@ class TestRunBench:
         out = tmp_path / "report.json"
         reports = B.run_bench(target, {"fspad": drafts["fspad"]}, tok,
                               B.DraftingConfig(depth=2, expand_k=2, select_m=2, budget=4),
-                              small_bench(tasks=("continuation", "arithmetic")),
-                              seed=5, out_path=out)
+                              small_bench(tasks=("continuation", "arithmetic")), seed=5)
+        B.write_reports(reports, out)
         assert len(reports) == 2
         rows = json.loads(out.read_text())
         assert len(rows) == 2
@@ -188,7 +188,8 @@ class TestAblation:
         reports = B.run_bench(
             target, drafts, tok,
             B.DraftingConfig(depth=2, expand_k=2, select_m=2, budget=4),
-            small_bench(), seed=8, out_path=out)
+            small_bench(), seed=8)
+        B.write_reports(reports, out)
         assert len(reports) == 4
         variants = [r.variant for r in reports]
         assert variants == list(M.VARIANTS)
@@ -254,7 +255,8 @@ class TestBenchConfig:
         ({"tasks": []}, "tasks"), ({"prompts_per_task": -3}, "prompts_per_task"),
         ({"prompts_per_task": 0}, "prompts_per_task"), ({"max_new": 0}, "max_new"),
         ({"warmup_prompts": -1}, "warmup_prompts"),
-        ({"warmup_prompts": 3, "prompts_per_task": 3}, "warmup_prompts")])
+        ({"warmup_prompts": 3, "prompts_per_task": 3}, "warmup_prompts"),
+        ({"tasks": ["copy", "copy"]}, "tasks"), ({"temperatures": [0, 0.0]}, "temperatures")])
     def test_setting_out_of_range_rejected(self, bench, field):
         with pytest.raises(ConfigError, match=f"bench.{field}"):
             B.BenchConfig.from_dict(bench)

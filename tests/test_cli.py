@@ -172,6 +172,13 @@ class TestExitCodes:
         assert cli.main(["generate", "--out", str(tmp_path / "none"), "--prompt", "x",
                          flag, "0"]) == cli.EXIT_CONFIG
 
+    @pytest.mark.parametrize("flags", [["--temperature", "3"], ["--temperature", "nan"],
+                                       ["--max-new", "-1"]])
+    def test_bad_request_is_config_error_before_loading(self, tmp_path, flags):
+        # exit 2 with no run on disk: the request is checked before any model loads
+        assert cli.main(["generate", "--out", str(tmp_path / "none"), "--prompt", "x"]
+                        + flags) == cli.EXIT_CONFIG
+
     @pytest.mark.parametrize("command", ["bench", "ablate"])
     @pytest.mark.parametrize("bench,flags", [({"temperatures": ["hot"]}, []),
                                              ({"tasks": []}, []),

@@ -70,7 +70,7 @@ class TestVerifyStochastic:
         probs[1, 2] = 1.0
         rng = np.random.default_rng(0)
         for _ in range(50):
-            res = E.verify_stochastic(tree, probs, rng)
+            res = E.verify_stochastic(tree, probs, iter(rng.random, None))
             assert res.accepted_tokens == [4]
             assert res.bonus_token == 2
 
@@ -82,7 +82,7 @@ class TestVerifyStochastic:
         counts = np.zeros(8)
         trials = 40000
         for _ in range(trials):
-            res = E.verify_stochastic(tree, probs, rng)
+            res = E.verify_stochastic(tree, probs, iter(rng.random, None))
             assert res.accepted_tokens == []
             counts[res.bonus_token] += 1
         np.testing.assert_allclose(counts / trials, probs[0], atol=0.01)
@@ -91,7 +91,7 @@ class TestVerifyStochastic:
         tree = two_level_tree(1, [(4, 0.0)])
         probs = np.full((2, 8), 1 / 8)
         with pytest.raises(ContractError):
-            E.verify_stochastic(tree, probs, np.random.default_rng(2))
+            E.verify_stochastic(tree, probs, iter(np.random.default_rng(2).random, None))
 
     def test_first_emitted_marginal_matches_target(self):
         # two children plus a grandchild; the first emitted token must be
@@ -104,7 +104,7 @@ class TestVerifyStochastic:
         counts = np.zeros(8)
         trials = 200_000
         for _ in range(trials):
-            res = E.verify_stochastic(tree, probs, rng)
+            res = E.verify_stochastic(tree, probs, iter(rng.random, None))
             first = res.accepted_tokens[0] if res.accepted_tokens else res.bonus_token
             counts[first] += 1
         tv = 0.5 * np.abs(counts / trials - p0).sum()
@@ -122,15 +122,34 @@ class TestVerifyStochastic:
             counts = np.zeros(4)
             firsts[name] = []
             for _ in range(60000):
-                res = E.verify_stochastic(tree, probs, rng)
+                res = E.verify_stochastic(tree, probs, iter(rng.random, None))
                 first = res.accepted_tokens[0] if res.accepted_tokens else res.bonus_token
                 counts[first] += 1
                 firsts[name].append(first)
             results[name] = counts / 60000
         np.testing.assert_allclose(results["fwd"], p0, atol=0.01)
         np.testing.assert_allclose(results["rev"], p0, atol=0.01)
-        # the same random stream gave different draws: the trial order did flip
-        assert firsts["fwd"] != firsts["rev"]
+        # the target names each token from the same uniforms, whatever the child order
+        assert firsts["fwd"] == firsts["rev"]
+
+    @pytest.mark.parametrize("heads,emitted", [((4, 2, 6), [4, 2, 6]), ((7, 2, 6), [7])])
+    def test_one_uniform_per_emitted_token(self, heads, emitted):
+        # point-mass target rows: root -> token heads[0], at child 4 -> heads[1], at
+        # grandchild 2 -> heads[2]; the first walk accepts 4 and 2, the second emits 7 alone
+        tree = two_level_tree(1, [(4, 0.9), (5, 0.1)], grandchildren=[(2, 0.8)])
+        probs = np.zeros((4, 8))
+        probs[[0, 1, 3], list(heads)] = 1.0
+        probs[2, 0] = 1.0
+        rng, drawn = np.random.default_rng(6), []
+
+        def uniforms():
+            while True:
+                drawn.append(rng.random())
+                yield drawn[-1]
+
+        res = E.verify_stochastic(tree, probs, uniforms())
+        assert res.accepted_tokens + [res.bonus_token] == emitted
+        assert len(drawn) == len(emitted)
 
 
 class TestGenerateGreedyLossless:
@@ -393,7 +412,7 @@ class TestProgressAndCapacity:
             engine.generate(list(range(1, 17)), 8, temperature=0.0)
 
     @pytest.mark.parametrize("prompt", [[1, 32], [1, -1], [1.7, 2], [1, 2.0], [1, float("nan")],
-                                        ["3"], np.array([1.0, 2.0])])
+                                        ["3"], np.array([1.0, 2.0]), [True, False, 3]])
     def test_bad_prompt_ids_are_refused_by_both(self, prompt):
         cfg, target, draft = micro_stack(18)
         engine = E.SpeculativeEngine(target, E.ModelDrafter(draft, depth=2, expand_k=2,
@@ -402,7 +421,7 @@ class TestProgressAndCapacity:
             with pytest.raises(ContractError, match="prompt id"):
                 decode(prompt, 3)
 
-    @pytest.mark.parametrize("max_new", [2.5, -3, "3", None, np.float64(3.0)])
+    @pytest.mark.parametrize("max_new", [2.5, -3, "3", None, np.float64(3.0), True])
     def test_bad_max_new_is_refused_by_both(self, max_new):
         cfg, target, draft = micro_stack(18)
         engine = E.SpeculativeEngine(target, E.ModelDrafter(draft, depth=2, expand_k=2,
@@ -496,6 +515,7 @@ class TestContextEdge:
                         kw = dict(temperature=0.8, seed=length, eos_id=eos)
                         want, _ = E.vanilla_generate(target, prompt, max_new, **kw)
                         got, stats = engine.generate(prompt, max_new, **kw)
+                        assert got == want
                         assert not chained or min(stats.tree_sizes) > 1
                         if eos is None:
                             assert len(got) == len(want) == room

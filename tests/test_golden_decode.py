@@ -3,7 +3,8 @@
 ``golden_decode.json`` holds, for 12 short task prompts at T=0 and 4 at
 T=0.8, the tokens, accepted lengths, tree sizes and pass counts of
 ``SpeculativeEngine.generate`` with the ``fspad`` draft and trees sized
-by ``FIXED_BUDGET``.  Any change to the engine step, the builder or the
+by ``FIXED_BUDGET``; at both temperatures the tokens are
+``vanilla_generate``'s.  Any change to the engine step, the builder or the
 KV caches that is meant to keep every token, tree and pass must leave
 them as recorded.  Regenerate (only for a change that is meant to move
 them) with
@@ -32,20 +33,29 @@ REQUESTS = [(task, i, 0.0) for i in range(4) for task in C.TASKS] + \
            [(task, 4, 0.8) for task in C.TASKS] + [(C.TASKS[0], 5, 0.8)]
 
 
-def golden_decodes():
+def load_target():
     tok = TK.Tokenizer.load(os.path.join(WEIGHTS, "tokenizer.json"))
-    target = M.load_checkpoint(os.path.join(WEIGHTS, "target.fspd"))
+    return tok, M.load_checkpoint(os.path.join(WEIGHTS, "target.fspd"))
+
+
+def requests(tok):
+    """(key, prompt ids, decode keywords) of every recorded request."""
+    prompts = {task: C.task_prompts(task, 6, seed=7) for task in C.TASKS}
+    for task, i, temperature in REQUESTS:
+        yield (f"{task}/{i}/T={temperature}", tok.encode(prompts[task][i], add_bos=True),
+               dict(temperature=temperature, seed=100 + i, eos_id=TK.EOS))
+
+
+def golden_decodes():
+    tok, target = load_target()
     draft = M.load_checkpoint(os.path.join(WEIGHTS, "draft_fspad.fspd"), target=target)
     drafter = E.ModelDrafter(draft, **PRESET)
     drafter.latency = TR.FIXED_BUDGET
     engine = E.SpeculativeEngine(target, drafter)
-    prompts = {task: C.task_prompts(task, 6, seed=7) for task in C.TASKS}
     out = {}
-    for task, i, temperature in REQUESTS:
-        ids = tok.encode(prompts[task][i], add_bos=True)
-        tokens, stats = engine.generate(ids, MAX_NEW, temperature=temperature, seed=100 + i,
-                                        eos_id=TK.EOS)
-        out[f"{task}/{i}/T={temperature}"] = {
+    for key, ids, kw in requests(tok):
+        tokens, stats = engine.generate(ids, MAX_NEW, **kw)
+        out[key] = {
             "prompt": ids, "tokens": tokens, "accepted_lengths": stats.accepted_lengths,
             "tree_sizes": stats.tree_sizes, "draft_passes": stats.draft_passes,
             "target_passes": stats.target_passes}
@@ -62,6 +72,15 @@ def test_decodes_match_recorded():
     # the recording is not trivial: trees grew and drafts were accepted
     assert max(max(d["accepted_lengths"]) for d in want.values()) >= 2
     assert np.mean([n for d in want.values() for n in d["tree_sizes"]]) > 1
+
+
+def test_recorded_tokens_are_vanilla_tokens():
+    # at every temperature the speculative decode emits vanilla's tokens
+    with open(GOLDEN, encoding="utf-8") as f:
+        want = json.load(f)
+    tok, target = load_target()
+    for key, ids, kw in requests(tok):
+        assert E.vanilla_generate(target, ids, MAX_NEW, **kw)[0] == want[key]["tokens"], key
 
 
 def dump(decodes):

@@ -123,7 +123,7 @@ def test_verify_walk_default_preset(benchmark, stack, walk):
     logits[np.arange(len(tree)), first] = 8.0
     probs, rng = E._temperature_probs(logits, 1.0), np.random.default_rng(0)
     verify = {"greedy": lambda: E.verify_greedy(tree, logits),
-              "stochastic": lambda: E.verify_stochastic(tree, probs, rng)}[walk]
+              "stochastic": lambda: E.verify_stochastic(tree, probs, iter(rng.random, None))}[walk]
 
     result = benchmark.pedantic(verify, rounds=50)
     assert len(tree) == 61 and result.bonus_token >= 0

@@ -167,7 +167,8 @@ class TestValidation:
                                         [(97,)],
                                         [(97, 98, 99)],
                                         [("a", 98)],
-                                        [97]])
+                                        [97],
+                                        [[True, False]]])
     def test_bad_merge_is_contract_error(self, merges):
         with pytest.raises(ContractError):
             TK.Tokenizer(merges=merges)
