@@ -9,15 +9,15 @@ always compares equal work.  At temperature > 0 they emit the same tokens
 too, from one uniform per token, except where a uniform falls in the
 float32 rounding gap between the verify forward's distribution and
 vanilla's; that is not asserted, since the law is exact either way.
-Within one process, reports are deterministic functions of the config
-and seed except for wall-time-derived fields.  ``tau``, ``draft_passes``
-and ``target_passes`` also depend on the latency table that
-``ModelDrafter`` measures once per process for the target
-(``engine.latency_table``), since that table sizes every tree; every
-variant of one grid shares it, so their ``tau`` differ by draft quality
-alone.  ``DraftingConfig`` holds the only defaults of the tree
-caps that ``ModelDrafter`` requires.  The paper's ablation is the grid over
-every variant in ``VARIANTS``, judged by ``ordering_regressions``.
+Reports are deterministic functions of the config, the seed and the
+weights except for wall-time-derived fields: ``ModelDrafter`` prices
+every tree with the committed ``tree.COSTS``, so ``tau``,
+``draft_passes`` and ``target_passes`` are the same in every process, and
+the variants of one grid differ in ``tau`` by draft quality alone.  Each
+report is labelled with its draft's own ``variant``.  ``DraftingConfig``
+holds the only defaults of the tree caps that ``ModelDrafter`` requires.
+The paper's ablation is the grid over every variant in ``VARIANTS``,
+judged by ``ordering_regressions``.
 """
 
 from __future__ import annotations
@@ -42,8 +42,8 @@ from .tokenizer import EOS
 @dataclass
 class DraftingConfig(ConfigSection):
     """Caps on each drafted tree: levels, children per expanded node,
-    nodes expanded per level and candidates verified.  The measured
-    latency table decides how much of each cap a tree uses."""
+    nodes expanded per level and candidates verified.  The cost table
+    ``tree.COSTS`` decides how much of each cap a tree uses."""
 
     section = "drafting"
 
@@ -134,11 +134,10 @@ def _prompt_seed(seed, task, label, index):
     return int(ss.generate_state(1)[0])
 
 
-def bench_cell(target, draft, tokenizer, task, temperature, drafting, bench, seed,
-               variant=None):
-    """One report row: vanilla vs speculative over identical seeded prompts,
-    in an arm order that alternates from prompt to prompt."""
-    variant = variant or draft.variant
+def bench_cell(target, draft, tokenizer, task, temperature, drafting, bench, seed):
+    """One report row, labelled ``draft.variant``: vanilla vs speculative over
+    identical seeded prompts, in an arm order that alternates from prompt to
+    prompt."""
     prompts = task_prompts(task, bench.prompts_per_task, seed=seed)
     drafter = ModelDrafter(draft, **asdict(drafting))
     engine = SpeculativeEngine(target, drafter)
@@ -177,7 +176,7 @@ def bench_cell(target, draft, tokenizer, task, temperature, drafting, bench, see
         raise ConfigError(f"bench cell {task!r} measured no prompts "
                           f"(all skipped or eaten by warmup)")
     return BenchReport(
-        task=task, temperature=temperature, variant=variant,
+        task=task, temperature=temperature, variant=draft.variant,
         tau=emitted / passes,
         speedup=(wall_vanilla / wall_spec) if wall_spec > 0 else 0.0,
         tokens_emitted=emitted, target_passes=passes, draft_passes=draft_passes,
@@ -188,8 +187,8 @@ def bench_cell(target, draft, tokenizer, task, temperature, drafting, bench, see
 
 
 def run_bench(target, drafts, tokenizer, drafting, bench, seed, progress=None):
-    """Reports for every (task, temperature, variant) cell; ``drafts`` maps
-    variant name -> draft model."""
+    """Reports for every (task, temperature, draft) cell; ``drafts`` maps
+    variant name -> draft model of that variant."""
     reports = []
     for task in bench.tasks:
         for temperature in bench.temperatures:
@@ -197,7 +196,7 @@ def run_bench(target, drafts, tokenizer, drafting, bench, seed, progress=None):
                 if progress:
                     progress(f"bench {task} T={temperature} {variant}")
                 reports.append(bench_cell(target, draft, tokenizer, task, temperature,
-                                          drafting, bench, seed, variant=variant))
+                                          drafting, bench, seed))
     return reports
 
 

@@ -27,6 +27,7 @@ from . import engine as E
 from . import model as M
 from . import tokenizer as TK
 from . import training as TR
+from . import tree as TREE
 from .errors import (CapacityError, CheckpointFormatError, ConfigError, ContractError,
                      NumericError, SpecDecError, TrainingError)
 
@@ -114,7 +115,10 @@ def _load_drafts(out_dir, target, variants):
         if not os.path.exists(p):
             raise CheckpointFormatError(f"missing draft checkpoint for variant "
                                         f"{variant!r} at {p}")
-        drafts[variant] = M.load_checkpoint(p, target=target)
+        draft = M.load_checkpoint(p, target=target)
+        if draft.variant != variant:
+            raise CheckpointFormatError(f"{p} holds a {draft.variant!r} draft, not {variant!r}")
+        drafts[variant] = draft
     return drafts
 
 
@@ -174,7 +178,6 @@ def cmd_generate(args):
     print(tok.decode(out))
     _say(f"tau {stats.tau():.2f} over {stats.target_passes} target passes; "
          f"stats {stats.to_json()}")
-    _say(f"latency {json.dumps(dataclasses.asdict(drafter.latency), sort_keys=True)}")
     return EXIT_OK
 
 
@@ -248,15 +251,20 @@ def cmd_selftest(args):
                             n_layers=2, n_heads=2, max_seq_len=96)
         target = M.TargetModel(cfg, seed=1)
         draft = M.DraftModel(cfg, target, seed=2)
-        engine = E.SpeculativeEngine(target, E.ModelDrafter(draft, depth=3, expand_k=3,
-                                                            select_m=3, budget=6))
+        drafter = E.ModelDrafter(draft, depth=3, expand_k=3, select_m=3, budget=6)
+        drafter.latency = TREE.FIXED_BUDGET  # under COSTS this untrained draft drafts the root
+        engine = E.SpeculativeEngine(target, drafter)
         rng = np.random.default_rng(3)
+        sizes = []
         for _ in range(5):
             prompt = rng.integers(0, 32, size=5).tolist()
             want, _ = E.vanilla_generate(target, prompt, 16, temperature=0.0)
-            got, _ = engine.generate(prompt, 16, temperature=0.0)
+            got, stats = engine.generate(prompt, 16, temperature=0.0)
             if got != want:
                 raise ContractError("speculative output diverged from vanilla")
+            sizes += stats.tree_sizes
+        if max(sizes) == 1:
+            raise ContractError("every drafted tree was the root alone")
 
     def checkpoint_roundtrip():
         import tempfile

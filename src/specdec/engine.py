@@ -20,7 +20,7 @@ exactly the target's law (speculative sampling with a point-mass draft).
 
 Randomness is replayable and shared by both decoders: emitted token t
 (counted from the end of the prompt) takes the first ``random()`` of
-``step_rng(seed, t)``, whatever the tree or the latency table.
+``step_rng(seed, t)``, whatever the tree.
 """
 
 from __future__ import annotations
@@ -34,8 +34,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import CapacityError, ContractError
-from .model import DraftModel
-from .tree import LatencyTable, build_draft_tree, chain_tree, tree_attention_mask
+from .tree import COSTS, build_draft_tree, chain_tree, tree_attention_mask
 
 
 def step_rng(seed, step):
@@ -142,64 +141,6 @@ class GenerationStats:
         }, sort_keys=True)
 
 
-_LATENCY = {}  # target config -> LatencyTable, measured once per process
-LATENCY_ROWS = (1, 8, 64)
-LATENCY_PREFIX = 64
-LATENCY_REPEATS = 7
-
-
-def latency_table(target):
-    """The ``LatencyTable`` of ``target``, measured on the first call for
-    its config and reused after, by every draft of that target."""
-    key = json.dumps(target.config.to_dict(), sort_keys=True)
-    if key not in _LATENCY:
-        _LATENCY[key] = measure_latency(target)
-    return _LATENCY[key]
-
-
-def measure_latency(target):
-    """The median of ``LATENCY_REPEATS`` timings of a target verify forward
-    and of a draft pass of each of ``LATENCY_ROWS`` rows, siblings at one
-    depth as on a tree level, on random inputs, against caches of
-    ``LATENCY_PREFIX`` rows.
-
-    The draft is a fresh default-variant ``DraftModel`` of the target's
-    config, so that the table is one function of the target config and
-    every draft variant of an ablation is priced alike (on the benchmark
-    weights, the variants' draft passes differ by up to 20%).
-    """
-    config = target.config
-    draft = DraftModel(config, target, seed=0)
-    prefix = min(LATENCY_PREFIX, config.max_seq_len - 1)
-    rng = np.random.default_rng(0)
-    times = np.empty((LATENCY_REPEATS, 2, len(LATENCY_ROWS)))
-    target_cache, draft_cache = target.new_cache(), draft.new_cache()
-    ids = rng.integers(0, config.vocab_size, size=prefix + 1)
-    _, feats = target.forward(ids[:-1], cache=target_cache)
-    draft.forward(feats.data[None], ids[None, 1:], cache=draft_cache)
-    for repeat in range(LATENCY_REPEATS):
-        for j, rows in enumerate(LATENCY_ROWS):
-            ids = rng.integers(0, config.vocab_size, size=rows)
-            feats = rng.normal(size=(1, rows, config.hidden_size)).astype(np.float32)
-            siblings = np.eye(rows, dtype=bool)
-            times[repeat, 0, j] = _timed_ms(target.forward, (ids,), siblings, target_cache)
-            times[repeat, 1, j] = _timed_ms(draft.forward, (feats, ids[None]), siblings,
-                                            draft_cache)
-    verify, drafted = np.median(times, axis=0)
-    return LatencyTable(list(LATENCY_ROWS), verify.tolist(), drafted.tolist())
-
-
-def _timed_ms(forward, inputs, mask, cache):
-    """Milliseconds of one run of ``forward`` over ``inputs`` under ``mask``,
-    cut back out of ``cache`` after it."""
-    length = len(cache)
-    start = time.perf_counter()
-    forward(*inputs, mask=mask, cache=cache)
-    elapsed = time.perf_counter() - start
-    cache.keep(length)
-    return 1000.0 * elapsed
-
-
 class ModelDrafter:
     """Standard drafter: feature-level draft model with its own KV cache.
 
@@ -208,10 +149,13 @@ class ModelDrafter:
     cache; the builder runs the rows the cache lacks and leaves it holding
     exactly the committed rows.
 
-    Trees are sized by ``latency``, the process's ``latency_table`` for
-    the draft's target; ``depth``, ``expand_k``, ``select_m`` and
-    ``budget`` cap them (``bench.DraftingConfig`` holds their defaults).
+    Trees are priced by ``latency``, the committed ``tree.COSTS`` unless an
+    instance is given another table, so each tree is a function of the
+    prefix alone; ``depth``, ``expand_k``, ``select_m`` and ``budget`` cap
+    them (``bench.DraftingConfig`` holds their defaults).
     """
+
+    latency = COSTS
 
     def __init__(self, draft, *, depth, expand_k, select_m, budget):
         self.draft = draft
@@ -219,7 +163,6 @@ class ModelDrafter:
         self.expand_k = expand_k
         self.select_m = select_m
         self.budget = budget
-        self.latency = latency_table(draft.target)
         self.reset()
 
     def reset(self):

@@ -1,11 +1,12 @@
-"""Shared test set-up: trees sized by a fixed table, not by timings.
+"""Shared test set-up: trees sized by a fixed budget, not by their cost.
 
-``ModelDrafter`` sizes its trees by a latency table that
-``engine.latency_table`` measures once per process, so trees, ``tau`` and
-pass counts would follow the machine's timings.  Every test gets
-``tree.FIXED_BUDGET`` in its place (fixed-budget trees, whatever the
-costs), except those marked ``measured_latency``, which exercise the
-measurement itself.  BLAS runs on one thread, as in the benchmark.
+``ModelDrafter`` prices every tree with the committed ``tree.COSTS``.
+Under those costs the tiny untrained drafts of most tests would draft the
+root alone, and the tests would hold trivially, so every test gets
+``tree.FIXED_BUDGET`` as the class's table (fixed-budget trees: every cap
+used).  A test that wants another table, ``COSTS`` included, sets
+``latency`` on its drafter instance.  BLAS runs on one thread, as in the
+benchmark.
 """
 
 import os
@@ -21,12 +22,6 @@ from specdec import engine as E  # noqa: E402
 from specdec import tree as TR  # noqa: E402
 
 
-def pytest_configure(config):
-    config.addinivalue_line(
-        "markers", "measured_latency: ModelDrafter uses this process's measured latency table")
-
-
 @pytest.fixture(autouse=True)
-def fixed_latency(request, monkeypatch):
-    if request.node.get_closest_marker("measured_latency") is None:
-        monkeypatch.setattr(E, "latency_table", lambda target: TR.FIXED_BUDGET)
+def fixed_budget(monkeypatch):
+    monkeypatch.setattr(E.ModelDrafter, "latency", TR.FIXED_BUDGET)

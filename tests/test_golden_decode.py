@@ -2,12 +2,13 @@
 
 ``golden_decode.json`` holds, for 12 short task prompts at T=0 and 4 at
 T=0.8, the tokens, accepted lengths, tree sizes and pass counts of
-``SpeculativeEngine.generate`` with the ``fspad`` draft and trees sized
-by ``FIXED_BUDGET``; at both temperatures the tokens are
-``vanilla_generate``'s.  Any change to the engine step, the builder or the
-KV caches that is meant to keep every token, tree and pass must leave
-them as recorded.  Regenerate (only for a change that is meant to move
-them) with
+``SpeculativeEngine.generate`` with the ``fspad`` draft, twice: with
+trees sized by ``FIXED_BUDGET`` (every cap used), and with the production
+trees that ``COSTS`` prices (keys suffixed ``/costs``).  At both
+temperatures the tokens are ``vanilla_generate``'s.  Any change to the
+engine step, the builder, the cost table or the KV caches that is meant to
+keep every token, tree and pass must leave them as recorded.  Regenerate
+(only for a change that is meant to move them) with
 
     PYTHONPATH=src python tests/test_golden_decode.py
 """
@@ -31,6 +32,7 @@ PRESET = dict(depth=5, expand_k=8, select_m=8, budget=60)
 MAX_NEW = 24
 REQUESTS = [(task, i, 0.0) for i in range(4) for task in C.TASKS] + \
            [(task, 4, 0.8) for task in C.TASKS] + [(C.TASKS[0], 5, 0.8)]
+TABLES = {"": TR.FIXED_BUDGET, "/costs": TR.COSTS}  # key suffix -> the drafter's table
 
 
 def load_target():
@@ -50,15 +52,16 @@ def golden_decodes():
     tok, target = load_target()
     draft = M.load_checkpoint(os.path.join(WEIGHTS, "draft_fspad.fspd"), target=target)
     drafter = E.ModelDrafter(draft, **PRESET)
-    drafter.latency = TR.FIXED_BUDGET
     engine = E.SpeculativeEngine(target, drafter)
     out = {}
-    for key, ids, kw in requests(tok):
-        tokens, stats = engine.generate(ids, MAX_NEW, **kw)
-        out[key] = {
-            "prompt": ids, "tokens": tokens, "accepted_lengths": stats.accepted_lengths,
-            "tree_sizes": stats.tree_sizes, "draft_passes": stats.draft_passes,
-            "target_passes": stats.target_passes}
+    for suffix, table in TABLES.items():
+        drafter.latency = table
+        for key, ids, kw in requests(tok):
+            tokens, stats = engine.generate(ids, MAX_NEW, **kw)
+            out[key + suffix] = {
+                "prompt": ids, "tokens": tokens, "accepted_lengths": stats.accepted_lengths,
+                "tree_sizes": stats.tree_sizes, "draft_passes": stats.draft_passes,
+                "target_passes": stats.target_passes}
     return out
 
 
@@ -78,9 +81,12 @@ def test_recorded_tokens_are_vanilla_tokens():
     # at every temperature the speculative decode emits vanilla's tokens
     with open(GOLDEN, encoding="utf-8") as f:
         want = json.load(f)
+    assert len(want) == len(TABLES) * len(REQUESTS)
     tok, target = load_target()
     for key, ids, kw in requests(tok):
-        assert E.vanilla_generate(target, ids, MAX_NEW, **kw)[0] == want[key]["tokens"], key
+        tokens = E.vanilla_generate(target, ids, MAX_NEW, **kw)[0]
+        for suffix in TABLES:
+            assert tokens == want[key + suffix]["tokens"], key + suffix
 
 
 def dump(decodes):

@@ -21,7 +21,7 @@ from specdec import tensor as T
 from specdec import tokenizer as TK
 from specdec import training as TR
 from specdec.bench import DraftingConfig
-from specdec.tree import build_draft_tree
+from specdec.tree import COSTS, build_draft_tree
 
 PREFIX = 30  # cached rows in front of the timed target forward
 TOKENIZER = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -100,12 +100,11 @@ def test_build_draft_tree_default_preset(benchmark, stack):
     assert len(tree) == DraftingConfig().budget + 1 and passes == DraftingConfig().depth
 
 
-@pytest.mark.measured_latency
-def test_build_draft_tree_measured_table(benchmark, stack):
-    # the default preset's caps, sized by this process's measured table
+def test_build_draft_tree_committed_costs(benchmark, stack):
+    # the default preset's caps, priced by the committed cost table
     config, _, draft = stack
     args, kw = default_preset_tree(draft, config)
-    kw["latency"] = E.latency_table(draft.target)
+    kw["latency"] = COSTS
     tree, passes = benchmark.pedantic(build_draft_tree, args=args, kwargs=kw, rounds=5)
     assert len(tree) <= DraftingConfig().budget + 1 and 1 <= passes <= DraftingConfig().depth
 
